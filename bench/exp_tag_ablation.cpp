@@ -24,7 +24,7 @@
 #include "common/argparse.h"
 #include "exp_common.h"
 #include "metrics/table.h"
-#include "runtime/simple_host.h"
+#include "runtime/mmr_host.h"
 
 using namespace mmrfd;
 using metrics::Table;

@@ -123,9 +123,9 @@ class ChangeJournal {
   std::vector<ProcessId> ids_;  // ids_[k] changed at epoch base_ + k + 1
 };
 
-/// DeltaState — the per-peer watermark contract of the delta wire encoding,
-/// shared by both protocol cores (DetectorCore and SimpleDetectorCore) so
-/// the soundness-critical rules live in exactly one place:
+/// DeltaState — the per-peer watermark contract of the delta wire encoding
+/// (DetectorCore's), kept apart so the soundness-critical rules live in
+/// exactly one place:
 ///
 ///   * sender side: `acked(peer)` is the highest of our epochs the peer has
 ///     acknowledged — a response to the current query certifies the peer

@@ -1,8 +1,9 @@
 // DetectorCore — the DSN'03 asynchronous failure-detector protocol as a
 // sans-I/O state machine.
 //
-// The core knows nothing about clocks, sockets or the simulator. A host
-// drives it:
+// The core knows nothing about clocks, sockets or the simulator. Hosts drive
+// its rounds through core::RoundDriver (round_driver.h), which owns the
+// per-peer fan-out; the underlying protocol steps are:
 //
 //   QueryMessage q = core.start_query();          // T1 line: broadcast QUERY
 //   ... deliver q to all peers; for each peer query received:
@@ -135,7 +136,7 @@ class DetectorCore final : public FailureDetector {
   /// Starts a new round and returns the QUERY to broadcast to all peers
   /// (canonical full encoding). Requires the previous round (if any) to
   /// have been finish_round()ed: a node issues a new query only after the
-  /// previous one terminated. Delta-mode hosts use begin_query() +
+  /// previous one terminated. RoundDriver uses begin_query() +
   /// query_for(peer) instead, building one per-peer message.
   [[nodiscard]] QueryMessage start_query();
 
@@ -148,8 +149,8 @@ class DetectorCore final : public FailureDetector {
 
   /// True when `peer` must receive the full encoding this round: delta mode
   /// off, nothing acknowledged yet, or its acknowledgement fell out of the
-  /// journal's replay window (epoch miss / requested resync). Hosts use
-  /// this to share one full payload across all such peers.
+  /// journal's replay window (epoch miss / requested resync). RoundDriver
+  /// uses this to share one full payload across all such peers.
   [[nodiscard]] bool full_query_needed(ProcessId peer) const;
 
   /// The query to send `peer` this round: a delta against the epoch the
@@ -159,8 +160,8 @@ class DetectorCore final : public FailureDetector {
 
   /// Give-up policy decision for the current round: false when `peer` has
   /// been suspected for >= giveup_rounds consecutive rounds and this round
-  /// is not its 1/K probe (see DetectorConfig::giveup_rounds). Hosts skip
-  /// the send entirely. Valid after begin_query()/start_query().
+  /// is not its 1/K probe (see DetectorConfig::giveup_rounds). RoundDriver
+  /// skips the send entirely. Valid after begin_query()/start_query().
   [[nodiscard]] bool should_query(ProcessId peer) const {
     return peer.value >= skip_.size() || !skip_[peer.value];
   }
@@ -296,7 +297,7 @@ class DetectorCore final : public FailureDetector {
 
   // Delta encoding (maintained in every mode so flipping the flag or
   // inspecting epochs is always valid; record() is O(1)). The watermark
-  // rules live in common::DeltaState, shared with SimpleDetectorCore.
+  // rules live in common::DeltaState.
   DeltaState delta_;
   /// Per-round memo of built queries, keyed by base epoch (0 = full): all
   /// peers that acked the same epoch share one construction.

@@ -16,6 +16,7 @@
 // of the paper's central design choice; experiment E9 measures it.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -28,15 +29,6 @@ struct SimpleDetectorConfig {
   ProcessId self{0};
   std::uint32_t n{0};
   std::uint32_t f{0};
-
-  /// Delta-encode queries (same watermark/epoch machinery as DetectorCore).
-  /// Receivers ignore query contents for state either way — the delta only
-  /// shrinks wire bytes, so the E9 message-cost ablation stays apples to
-  /// apples with the full protocol's delta mode.
-  bool delta_queries{true};
-
-  /// Replay-window capacity; 0 = auto (max(1024, 4 * n)).
-  std::uint32_t delta_journal_capacity{0};
 
   /// Requires n >= 1 && f < n (validated by SimpleDetectorCore), so n - f
   /// needs no lower clamp — same contract as DetectorConfig::quorum().
@@ -53,17 +45,12 @@ class SimpleDetectorCore final : public FailureDetector {
 
   /// Starts a round. The query still carries the suspected set (so peers
   /// can be measured/observed), but receivers ignore it for state updates —
-  /// there is no way to order stale vs fresh information without tags.
+  /// there is no way to order stale vs fresh information without tags (and
+  /// so no delta encoding: it would only shrink bytes nobody reads).
   [[nodiscard]] QueryMessage start_query();
 
-  /// Delta path, mirroring DetectorCore: begin the round, then build one
-  /// message per peer. A delta lists only the ids suspected since the
-  /// peer's acknowledged epoch (cleared ids are simply not re-listed —
-  /// receivers never merge this content, so no removal marker is needed).
-  void begin_query();
+  /// The current round's query, rebuilt from the current suspected set.
   [[nodiscard]] QueryMessage full_query() const;
-  [[nodiscard]] bool full_query_needed(ProcessId peer) const;
-  [[nodiscard]] QueryMessage query_for(ProcessId peer);
 
   /// Returns true when the quorum-th distinct response arrives.
   bool on_response(ProcessId from, const ResponseMessage& response);
@@ -81,6 +68,10 @@ class SimpleDetectorCore final : public FailureDetector {
   [[nodiscard]] QuerySeq query_seq() const { return seq_; }
   [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
   [[nodiscard]] const SimpleDetectorConfig& config() const { return config_; }
+  /// Responders of the current/last round so far, self included.
+  [[nodiscard]] std::span<const ProcessId> rec_from() const {
+    return rec_from_;
+  }
 
  private:
   void set_suspected(ProcessId id, bool suspect);
@@ -88,17 +79,12 @@ class SimpleDetectorCore final : public FailureDetector {
   SimpleDetectorConfig config_;
   SuspicionObserver* observer_{nullptr};
   std::vector<bool> suspected_;
-  std::size_t suspect_count_{0};
   QuerySeq seq_{0};
   bool in_progress_{false};
   bool terminated_{false};
   std::vector<ProcessId> rec_from_;  // arrival order
   std::vector<bool> responded_;      // per id: in rec_from_ this round
   std::uint64_t rounds_{0};
-
-  // Delta encoding: the watermark rules live in common::DeltaState,
-  // shared with DetectorCore.
-  DeltaState delta_;
 };
 
 }  // namespace mmrfd::core

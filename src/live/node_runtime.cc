@@ -246,16 +246,16 @@ int node_main(int argc, const char* const* argv) {
     const std::uint64_t now = wall_clock_ns();
     r.snapshot_ns = now > origin_ns ? now - origin_ns : 0;
     r.rounds = detector.rounds_completed();
-    const transport::RealTimeStats ds = detector.stats();
-    r.full_queries_sent = ds.full_queries_sent;
-    r.delta_queries_sent = ds.delta_queries_sent;
-    r.queries_received = ds.queries_received;
-    r.responses_received = ds.responses_received;
-    r.responses_sent = ds.responses_sent;
-    r.need_full_sent = ds.need_full_sent;
-    r.need_full_received = ds.need_full_received;
-    r.query_bytes_sent = ds.query_bytes_sent;
-    r.response_bytes_sent = ds.response_bytes_sent;
+    r.metrics = registry.snapshot();
+    r.full_queries_sent = r.metrics.counter_value("rt.full_queries_sent");
+    r.delta_queries_sent = r.metrics.counter_value("rt.delta_queries_sent");
+    r.queries_received = r.metrics.counter_value("rt.queries_received");
+    r.responses_received = r.metrics.counter_value("rt.responses_received");
+    r.responses_sent = r.metrics.counter_value("rt.responses_sent");
+    r.need_full_sent = r.metrics.counter_value("rt.need_full_sent");
+    r.need_full_received = r.metrics.counter_value("rt.need_full_received");
+    r.query_bytes_sent = r.metrics.counter_value("rt.query_bytes_sent");
+    r.response_bytes_sent = r.metrics.counter_value("rt.response_bytes_sent");
     const transport::UdpStats us = udp.stats();
     r.datagrams_received = us.datagrams_received;
     r.bytes_received = us.bytes_received;
@@ -275,7 +275,6 @@ int node_main(int argc, const char* const* argv) {
       r.retransmit_bytes_sent = rs.retransmit_bytes_sent;
       r.ack_bytes_sent = rs.ack_bytes_sent;
     }
-    r.metrics = registry.snapshot();
     for (const ProcessId id : detector.suspected()) {
       r.suspected.push_back(id.value);
     }

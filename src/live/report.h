@@ -45,7 +45,7 @@ struct NodeReport {
   std::uint64_t origin_ns{0};    ///< UNIX ns all timestamps are relative to
   std::uint64_t snapshot_ns{0};  ///< write instant, ns since origin
 
-  // --- protocol counters (transport::RealTimeStats) ------------------------
+  // --- protocol counters (the rt.* registry counters) ----------------------
   std::uint64_t rounds{0};
   std::uint64_t full_queries_sent{0};
   std::uint64_t delta_queries_sent{0};

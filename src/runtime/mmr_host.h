@@ -1,71 +1,37 @@
-// MmrHost — binds a DetectorCore to the simulated network and drives its
-// query rounds.
-//
-// Responsibilities (everything the sans-I/O core must not know about):
-//   * broadcasting QUERYs and RESPONSEs over net::Network;
-//   * the inter-query pacing delay Delta — the paper requires only that the
-//     time between consecutive queries is "finite but arbitrary"; the
-//     evaluation inserts a fixed Delta so the network is not flooded, and
-//     responses arriving during that window still count into rec_from;
+// SimHost — binds a detector core to the simulated network. Round policy
+// lives in core::RoundDriver; the adapter keeps what it must not know about:
+//   * sending QUERYs and RESPONSEs over net::Network;
+//   * the inter-query pacing delay Delta and its jitter draw — the paper
+//     requires only that the time between consecutive queries is "finite but
+//     arbitrary"; the evaluation inserts a fixed Delta so the network is not
+//     flooded, and responses arriving during that window still count into
+//     rec_from;
 //   * reporting terminated rounds to the PropertyRecorder (for MP checking);
 //   * crash-stop: a crashed host stops all activity instantly.
+// MmrHost is SimHost on DetectorCore; SimpleHost is SimHost on the tag-free
+// SimpleDetectorCore (the perpetual-assumption / class-S variant), and
+// SimpleCluster a BaselineCluster of them.
 #pragma once
 
 #include <memory>
 #include <variant>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
-#include "core/detector_core.h"
-#include "core/messages.h"
 #include "core/properties.h"
+#include "core/round_driver.h"
+#include "core/simple_detector.h"
 #include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
+#include "runtime/baseline_cluster.h"
 #include "sim/simulation.h"
 
 namespace mmrfd::runtime {
 
 using MmrMessage = std::variant<core::QueryMessage, core::ResponseMessage>;
 using MmrNetwork = net::Network<MmrMessage>;
-
-/// Per-peer delta-query fan-out shared by the simulated hosts (MmrHost,
-/// SimpleHost): starts the core's round, then sends each neighbor its
-/// (usually tiny) delta, with every peer needing the full fallback —
-/// nothing acked yet, or its ack fell out of the journal window (e.g. it
-/// crashed) — sharing ONE full payload, so the fallback costs one O(f)
-/// construction per round, not one per peer. Iterating neighbors in
-/// topology order keeps the per-recipient rng draws identical to
-/// broadcast(), so fixed-seed schedules match the full-encoding path bit
-/// for bit — the invariant the golden digests pin. `Core` needs
-/// begin_query / full_query_needed / full_query / query_for / query_seq;
-/// cores that also expose should_query (the crashed-peer give-up policy)
-/// get long-suspected peers skipped entirely. An optional FlightRecorder
-/// gets one kQueryTxSeq causal record per peer actually queried —
-/// recording draws no randomness and schedules nothing, so fixed-seed
-/// schedules are untouched.
-template <typename Core>
-void delta_fan_out(MmrNetwork& net, Core& core, ProcessId self,
-                   obs::FlightRecorder* rec = nullptr) {
-  core.begin_query();
-  const auto round_seq = static_cast<std::uint32_t>(core.query_seq());
-  std::shared_ptr<const MmrMessage> full;
-  for (ProcessId to : net.topology().neighbors(self)) {
-    if constexpr (requires { core.should_query(to); }) {
-      if (!core.should_query(to)) continue;
-    }
-    if (core.full_query_needed(to)) {
-      if (!full) {
-        full = std::make_shared<const MmrMessage>(core.full_query());
-      }
-      net.send_shared(self, to, full);
-    } else {
-      net.send(self, to, MmrMessage{core.query_for(to)});
-    }
-    if (rec != nullptr) {
-      rec->record(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
-    }
-  }
-}
 
 struct MmrHostConfig {
   core::DetectorConfig detector;
@@ -90,15 +56,19 @@ struct MmrHostConfig {
   obs::FlightRecorder* recorder{nullptr};
 };
 
-class MmrHost {
+template <typename Core, typename Config>
+class SimHost {
  public:
-  MmrHost(sim::Simulation& simulation, MmrNetwork& network,
-          const MmrHostConfig& config,
-          core::PropertyRecorder* recorder = nullptr,
+  SimHost(sim::Simulation& simulation, MmrNetwork& network,
+          const Config& config, core::PropertyRecorder* recorder = nullptr,
           core::SuspicionObserver* observer = nullptr);
+  /// The BaselineCluster constructor shape.
+  SimHost(sim::Simulation& simulation, MmrNetwork& network,
+          const Config& config, core::SuspicionObserver* observer)
+      : SimHost(simulation, network, config, nullptr, observer) {}
 
-  MmrHost(const MmrHost&) = delete;
-  MmrHost& operator=(const MmrHost&) = delete;
+  SimHost(const SimHost&) = delete;
+  SimHost& operator=(const SimHost&) = delete;
 
   /// Schedules the first query; must be called once before the run.
   void start();
@@ -108,33 +78,48 @@ class MmrHost {
 
   [[nodiscard]] bool crashed() const { return crashed_; }
   [[nodiscard]] ProcessId id() const { return config_.detector.self; }
-  [[nodiscard]] const core::DetectorCore& detector() const { return core_; }
-  [[nodiscard]] core::DetectorCore& detector() { return core_; }
+  [[nodiscard]] const Core& detector() const { return core_; }
+  [[nodiscard]] Core& detector() { return core_; }
 
  private:
   void begin_round();
   void on_terminated();
   void handle(ProcessId from, const MmrMessage& msg);
-
-  void trace(obs::TraceKind kind, std::uint32_t a = 0, std::uint32_t b = 0) {
-    if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
+  void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
+    if (trace_ != nullptr) trace_->record(kind, a, b);
   }
 
   [[nodiscard]] Duration next_pacing();
 
   sim::Simulation& sim_;
   MmrNetwork& net_;
-  MmrHostConfig config_;
-  core::DetectorCore core_;
+  Config config_;
+  Core core_;
   core::PropertyRecorder* recorder_;
+  obs::FlightRecorder* trace_{nullptr};
+  core::RoundDriver<Core> driver_;
   Xoshiro256 jitter_rng_;
+  double pacing_jitter_{0.0};
   bool crashed_{false};
   bool started_{false};
-
-  // Optional registry instruments (null when config.registry is null).
-  obs::Counter* rounds_counter_{nullptr};
-  obs::Histogram* round_rtt_ns_{nullptr};
-  TimePoint round_start_{};
+  /// begin_round() buffer: each payload wrapped once, shared by the
+  /// delivery events of its recipients.
+  std::vector<std::shared_ptr<const MmrMessage>> payloads_;
 };
+
+using MmrHost = SimHost<core::DetectorCore, MmrHostConfig>;
+extern template class SimHost<core::DetectorCore, MmrHostConfig>;
+
+struct SimpleHostConfig {
+  core::SimpleDetectorConfig detector;
+  Duration pacing{from_millis(1000)};
+  Duration initial_delay{Duration::zero()};
+};
+
+using SimpleHost = SimHost<core::SimpleDetectorCore, SimpleHostConfig>;
+extern template class SimHost<core::SimpleDetectorCore, SimpleHostConfig>;
+
+/// A cluster of tag-free detectors (ablation harness for experiment E9).
+using SimpleCluster = BaselineCluster<SimpleHost, SimpleHostConfig, MmrMessage>;
 
 }  // namespace mmrfd::runtime

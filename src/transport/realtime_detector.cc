@@ -6,15 +6,37 @@
 
 namespace mmrfd::transport {
 
+namespace {
+
+std::vector<ProcessId> other_ids(const core::DetectorConfig& config) {
+  std::vector<ProcessId> ids;
+  for (std::uint32_t i = 0; i < config.n; ++i) {
+    if (i != config.self.value) ids.push_back(ProcessId{i});
+  }
+  return ids;
+}
+
+TimePoint steady_now() {
+  return std::chrono::duration_cast<Duration>(
+      std::chrono::steady_clock::now().time_since_epoch());
+}
+
+}  // namespace
+
 RealTimeDetector::RealTimeDetector(Transport& transport,
                                    const RealTimeConfig& config)
-    : transport_(transport), config_(config), core_(config.detector) {
-  if (config.registry == nullptr) {
-    own_registry_ = std::make_unique<obs::MetricsRegistry>();
-  }
-  obs::MetricsRegistry& reg =
-      config.registry != nullptr ? *config.registry : *own_registry_;
-  registry_ = &reg;
+    : transport_(transport),
+      config_(config),
+      core_(config.detector),
+      peers_(other_ids(config.detector)),
+      own_registry_(config.registry == nullptr
+                        ? std::make_unique<obs::MetricsRegistry>()
+                        : nullptr),
+      registry_(config.registry != nullptr ? config.registry
+                                           : own_registry_.get()),
+      recorder_(config.recorder),
+      round_driver_(core_, peers_, registry_, "rt", recorder_) {
+  obs::MetricsRegistry& reg = *registry_;
   full_queries_sent_ = &reg.counter("rt.full_queries_sent");
   delta_queries_sent_ = &reg.counter("rt.delta_queries_sent");
   queries_received_ = &reg.counter("rt.queries_received");
@@ -24,10 +46,6 @@ RealTimeDetector::RealTimeDetector(Transport& transport,
   need_full_received_ = &reg.counter("rt.need_full_received");
   query_bytes_sent_ = &reg.counter("rt.query_bytes_sent");
   response_bytes_sent_ = &reg.counter("rt.response_bytes_sent");
-  rounds_counter_ = &reg.counter("rt.rounds");
-  resend_waves_ = &reg.counter("rt.resend_waves");
-  round_rtt_ns_ = &reg.histogram("rt.round_rtt_ns");
-  recorder_ = config.recorder;
   core_.set_recorder(config.recorder);
   transport_.set_handler([this](ProcessId from, const WireMessage& msg) {
     on_datagram(from, msg);
@@ -71,151 +89,59 @@ void RealTimeDetector::stop() {
 
 void RealTimeDetector::driver_loop() {
   std::unique_lock lock(mutex_);
-  std::vector<ProcessId> full_peers;
-  std::vector<std::pair<ProcessId, WireMessage>> deltas;
   while (!stopping_) {
-    // Build the round's queries under the lock, send outside it. In delta
-    // mode each peer gets its own (usually tiny) message; peers whose
-    // acknowledgement lapsed — fresh peer, restart, journal overrun — all
-    // receive ONE shared full encoding (built once per round, like the
-    // simulated hosts' shared payload). Reference mode keeps the broadcast.
-    full_peers.clear();
-    deltas.clear();
-    const bool delta = core_.config().delta_queries;
-    const std::uint32_t n = core_.config().n;
-    std::uint32_t skipped = 0;
-    WireMessage full;
-    core_.begin_query();
-    // Captured under the lock: the round sequence stamped into every
-    // causal-trace record this round (kQueryTxSeq / kQuorum).
-    const std::uint32_t round_seq =
-        static_cast<std::uint32_t>(core_.query_seq());
-    const auto round_start = std::chrono::steady_clock::now();
-    bool full_built = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const ProcessId to{i};
-      if (to == core_.config().self) continue;
-      // Give-up policy: peers suspected for K consecutive rounds are only
-      // probed every K-th round — a crashed peer never acks, so every
-      // query to it costs the full-encoding fallback forever otherwise.
-      if (!core_.should_query(to)) {
-        ++skipped;
-        continue;
-      }
-      if (!delta || core_.full_query_needed(to)) {
-        if (!full_built) {
-          full = WireMessage{core_.full_query()};
-          full_built = true;
-        }
-        full_peers.push_back(to);
-      } else {
-        deltas.emplace_back(to, WireMessage{core_.query_for(to)});
-      }
-    }
+    // Plan under the lock (the driver reads the core), send outside it.
+    round_driver_.begin(steady_now());
     lock.unlock();
-    const auto query_size = [](const WireMessage& m) {
-      return static_cast<std::uint64_t>(
-          wire_size(std::get<core::QueryMessage>(m)));
-    };
-    // Peer order (full peers, then delta peers) is irrelevant here: real
-    // transports have no seeded schedule to preserve. When EVERY peer gets
-    // the full encoding (reference mode, first round, mass resync) and
-    // nobody is skipped, broadcast() it — the transport serializes a
-    // broadcast once, while per-peer send() re-encodes per call.
-    if (deltas.empty() && skipped == 0 && !full_peers.empty()) {
-      transport_.broadcast(full);
-    } else {
-      for (const ProcessId to : full_peers) transport_.send(to, full);
-      for (auto& [to, msg] : deltas) transport_.send(to, msg);
-    }
-    if (!full_peers.empty()) {
-      const std::uint64_t full_bytes = query_size(full);
-      full_queries_sent_->add(full_peers.size());
-      query_bytes_sent_->add(full_bytes * full_peers.size());
-      for (const ProcessId to : full_peers) {
-        trace(obs::TraceKind::kQueryTx, to.value,
-              static_cast<std::uint32_t>(full_bytes));
-        trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
-      }
-    }
-    delta_queries_sent_->add(deltas.size());
-    for (const auto& [to, msg] : deltas) {
-      const std::uint64_t bytes = query_size(msg);
-      query_bytes_sent_->add(bytes);
-      trace(obs::TraceKind::kQueryTx, to.value,
-            static_cast<std::uint32_t>(bytes));
-      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
-    }
+    send_plan();
     lock.lock();
     // Wait for the quorum-th response (self counts already); re-checked on
     // every incoming response. The protocol stays time-free — the only
     // exits are quorum or shutdown — but every `resend` interval without
-    // quorum we re-issue the round's query to the peers still silent, as a
-    // self-contained full encoding (unconditionally mergeable, no journal
-    // base to miss). That restores the reliable-channel assumption the
-    // model makes and a kernel UDP path does not.
-    std::uint32_t resend_waves = 0;
+    // quorum the driver plans a resend wave to the still-silent peers. That
+    // restores the reliable-channel assumption the model makes and a kernel
+    // UDP path does not.
     while (!stopping_ && !core_.query_terminated()) {
       if (quorum_cv_.wait_for(lock, config_.resend, [&] {
             return stopping_ || core_.query_terminated();
           })) {
         break;
       }
-      const std::uint32_t n = core_.config().n;
-      std::vector<bool> responded(n, false);
-      for (const ProcessId p : core_.rec_from()) {
-        if (p.value < n) responded[p.value] = true;
-      }
-      std::vector<ProcessId> silent;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const ProcessId to{i};
-        if (to == core_.config().self || responded[i]) continue;
-        // A peer the give-up policy elided this round was never queried:
-        // resending to it would undo the whole point of the policy (dead
-        // peers are exactly the ones that are always silent, and resends
-        // are always full encodings — the dominant full_q source at large
-        // n). But only the FIRST wave honors the skip set: a round still
-        // short of quorum after a full resend interval is evidence the
-        // skips were wrong (falsely suspected live peers skipped while the
-        // actually-dead ate the budget) — liveness beats economy, so later
-        // waves query everyone silent.
-        if (resend_waves == 0 && !core_.should_query(to)) continue;
-        silent.push_back(to);
-      }
-      ++resend_waves;
-      if (silent.empty()) continue;  // termination raced the timeout
-      const WireMessage refresh{core_.full_query()};
+      if (!round_driver_.plan_resend()) continue;  // termination raced
       lock.unlock();
-      for (const ProcessId to : silent) transport_.send(to, refresh);
-      resend_waves_->add(1);
-      trace(obs::TraceKind::kResendWave, resend_waves,
-            static_cast<std::uint32_t>(silent.size()));
-      for (const ProcessId to : silent) {
-        trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
-      }
-      full_queries_sent_->add(silent.size());
-      query_bytes_sent_->add(query_size(refresh) * silent.size());
+      send_plan();
       lock.lock();
     }
     if (stopping_) return;
-    // Quorum instant: the trace record the assembler's wire/resend-wait
-    // split pivots on — everything between round open and here is quorum
-    // assembly, everything after is pacing.
-    trace(obs::TraceKind::kQuorum, round_seq,
-          static_cast<std::uint32_t>(core_.rec_from().size()));
-    // Quorum reached: the wall-clock span from query build to termination
-    // is the round's RTT (the paper's "query round trip"), the live
-    // counterpart of the simulator's round-RTT histogram.
-    round_rtt_ns_->observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - round_start)
-            .count()));
+    // Quorum instant: the assembler's wire/resend-wait split pivots on its
+    // record — everything between round open and here is quorum assembly,
+    // everything after is pacing.
+    round_driver_.on_quorum(steady_now());
     // Pacing window: late responses keep flowing into rec_from meanwhile.
     quorum_cv_.wait_for(lock, config_.pacing, [&] { return stopping_; });
     if (stopping_) return;
-    core_.finish_round();
-    rounds_counter_->add(1);
+    round_driver_.finish();
   }
+}
+
+void RealTimeDetector::send_plan() {
+  payloads_.clear();
+  payload_bytes_.clear();
+  for (core::QueryMessage& q : round_driver_.payloads()) {
+    payload_bytes_.push_back(static_cast<std::uint32_t>(wire_size(q)));
+    payloads_.emplace_back(std::move(q));
+  }
+  // Each peer's tx records are stamped immediately before its own send(),
+  // so a fast receiver cannot log its rx ahead of our tx.
+  round_driver_.for_each_send([this](const core::QuerySend& s) {
+    const WireMessage& msg = payloads_[s.payload];
+    const std::uint32_t bytes = payload_bytes_[s.payload];
+    const bool delta = std::get<core::QueryMessage>(msg).is_delta();
+    (delta ? delta_queries_sent_ : full_queries_sent_)->add(1);
+    query_bytes_sent_->add(bytes);
+    trace(obs::TraceKind::kQueryTx, s.to.value, bytes);
+    transport_.send(s.to, msg);
+  });
 }
 
 void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
@@ -261,20 +187,6 @@ void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
 void RealTimeDetector::set_observer(core::SuspicionObserver* observer) {
   std::lock_guard lock(mutex_);
   core_.set_observer(observer);
-}
-
-RealTimeStats RealTimeDetector::stats() const {
-  RealTimeStats s;
-  s.full_queries_sent = full_queries_sent_->value();
-  s.delta_queries_sent = delta_queries_sent_->value();
-  s.queries_received = queries_received_->value();
-  s.responses_received = responses_received_->value();
-  s.responses_sent = responses_sent_->value();
-  s.need_full_sent = need_full_sent_->value();
-  s.need_full_received = need_full_received_->value();
-  s.query_bytes_sent = query_bytes_sent_->value();
-  s.response_bytes_sent = response_bytes_sent_->value();
-  return s;
 }
 
 std::vector<ProcessId> RealTimeDetector::suspected() const {

@@ -1,13 +1,15 @@
 // RealTimeDetector — the DetectorCore driven by wall-clock pacing over a
 // real Transport (UDP or in-memory threads). The production-facing face of
 // the library: the exact state machine verified under simulation, bound to
-// sockets and threads.
+// sockets and threads. Round policy is core::RoundDriver's, shared with the
+// simulator; this adapter owns the wall clock, the transport, the lock and
+// the resend timer.
 //
-// Threading model: one driver thread runs the query loop (broadcast, wait
-// for quorum on a condition variable, pace, finish round); the transport's
-// receive thread funnels into on_datagram(). A single mutex guards the core
-// — its per-event work is microseconds (see bench/micro_core), far below
-// any contention concern at protocol rates.
+// Threading model: one driver thread runs the query loop (send the plan,
+// wait for quorum on a condition variable, pace, finish round); the
+// transport's receive thread funnels into on_datagram(). A single mutex
+// guards the core — its per-event work is microseconds (see
+// bench/micro_core), far below any contention concern at protocol rates.
 #pragma once
 
 #include <condition_variable>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "core/detector_core.h"
+#include "core/round_driver.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "transport/transport.h"
@@ -29,7 +32,7 @@ struct RealTimeConfig {
   /// Inter-query pacing Delta (wall clock).
   Duration pacing{from_millis(100)};
   /// Loss recovery for real (unreliable) transports: while a query is short
-  /// of quorum, re-issue it to the still-silent peers at this interval. The
+  /// of quorum, re-issue it (a RoundDriver resend wave) at this interval. The
   /// paper's model assumes reliable channels; a lost datagram (startup race
   /// — a peer's socket not bound yet — or receive-buffer overflow under
   /// fan-in) would otherwise wedge the round FOREVER, because the time-free
@@ -39,35 +42,13 @@ struct RealTimeConfig {
   Duration resend{from_millis(500)};
   /// Shared metrics registry for the rt.* instruments; the detector owns a
   /// private one when null. Sharing one registry across the node's whole
-  /// stack gives the report writer a single snapshot to embed.
+  /// stack gives the report writer a single snapshot to embed. Query and
+  /// response bytes are codec-level; a ReliableDatagram's framing and
+  /// retransmits underneath are its own rel.* counters.
   obs::MetricsRegistry* registry{nullptr};
   /// Flight recorder for query/response/resend traces, forwarded to the
   /// core for its round/suspicion records too (may be null).
   obs::FlightRecorder* recorder{nullptr};
-};
-
-/// Protocol/wire counters of one live detector, all monotone since start().
-/// The live-cluster node reports are built from these — they are the per-
-/// process ground truth the supervisor aggregates (bytes/query, delta-vs-
-/// full sends, need_full resyncs).
-struct RealTimeStats {
-  std::uint64_t full_queries_sent{0};   ///< per-peer full encodings sent
-  std::uint64_t delta_queries_sent{0};  ///< per-peer delta encodings sent
-  std::uint64_t queries_received{0};
-  std::uint64_t responses_received{0};
-  std::uint64_t responses_sent{0};
-  /// Responses we sent with need_full set: we received a delta whose base we
-  /// never acknowledged (state loss/restart) and asked the peer to resync us.
-  std::uint64_t need_full_sent{0};
-  /// Responses we received with need_full set: a peer asked us for a full
-  /// resync, and we dropped its watermark.
-  std::uint64_t need_full_received{0};
-  /// Codec-level bytes (envelope included) of the messages handed to the
-  /// transport. A ReliableDatagram underneath adds its own 13-byte framing
-  /// and re-sends whole datagrams on loss — that extra traffic is accounted
-  /// in ReliableStats, not here.
-  std::uint64_t query_bytes_sent{0};
-  std::uint64_t response_bytes_sent{0};
 };
 
 class RealTimeDetector final : public core::FailureDetector {
@@ -94,9 +75,6 @@ class RealTimeDetector final : public core::FailureDetector {
   /// Rounds completed so far (monotone; for liveness checks in tests).
   [[nodiscard]] std::uint64_t rounds_completed() const;
 
-  /// Snapshot of the wire/protocol counters. Thread-safe, lock-free.
-  [[nodiscard]] RealTimeStats stats() const;
-
   /// The registry backing the rt.* instruments (config.registry or the
   /// private fallback).
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
@@ -105,6 +83,8 @@ class RealTimeDetector final : public core::FailureDetector {
 
  private:
   void driver_loop();
+  /// Sends the driver's current plan; called without the lock held.
+  void send_plan();
   void on_datagram(ProcessId from, const WireMessage& msg);
   void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
     if (recorder_ != nullptr) recorder_->record(kind, a, b);
@@ -116,15 +96,16 @@ class RealTimeDetector final : public core::FailureDetector {
   mutable std::mutex mutex_;
   std::condition_variable quorum_cv_;
   core::DetectorCore core_;
+  std::vector<ProcessId> peers_;  // every id but self, ascending
   bool running_{false};
   bool stopping_{false};
   std::thread driver_;
 
   // Instruments are registry-backed relaxed atomics, not mutex-guarded
   // state: the driver thread bumps the tx side outside the core lock (sends
-  // happen unlocked) and stats() must stay callable from report-flush
-  // threads without contending. References are resolved once in the
-  // constructor and stay valid for the registry's lifetime.
+  // happen unlocked) and report writers read the registry without
+  // contending. References are resolved once in the constructor and stay
+  // valid for the registry's lifetime.
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   obs::MetricsRegistry* registry_{nullptr};
   obs::FlightRecorder* recorder_{nullptr};
@@ -137,9 +118,12 @@ class RealTimeDetector final : public core::FailureDetector {
   obs::Counter* need_full_received_{nullptr};
   obs::Counter* query_bytes_sent_{nullptr};
   obs::Counter* response_bytes_sent_{nullptr};
-  obs::Counter* rounds_counter_{nullptr};
-  obs::Counter* resend_waves_{nullptr};
-  obs::Histogram* round_rtt_ns_{nullptr};
+
+  // Touched only by the driver thread: the plan is written under the lock
+  // (begin/plan_resend read the core) and sent by send_plan() without it.
+  core::RoundDriver<core::DetectorCore> round_driver_;
+  std::vector<WireMessage> payloads_;
+  std::vector<std::uint32_t> payload_bytes_;
 };
 
 }  // namespace mmrfd::transport
