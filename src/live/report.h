@@ -45,43 +45,11 @@ struct NodeReport {
   std::uint64_t origin_ns{0};    ///< UNIX ns all timestamps are relative to
   std::uint64_t snapshot_ns{0};  ///< write instant, ns since origin
 
-  // --- protocol counters (the rt.* registry counters) ----------------------
-  std::uint64_t rounds{0};
-  std::uint64_t full_queries_sent{0};
-  std::uint64_t delta_queries_sent{0};
-  std::uint64_t queries_received{0};
-  std::uint64_t responses_received{0};
-  std::uint64_t responses_sent{0};
-  std::uint64_t need_full_sent{0};
-  std::uint64_t need_full_received{0};
-  std::uint64_t query_bytes_sent{0};
-  std::uint64_t response_bytes_sent{0};
-
-  // --- wire counters (UdpStats + codec + reliability layer) ----------------
-  std::uint64_t datagrams_received{0};
-  std::uint64_t bytes_received{0};
-  std::uint64_t truncated{0};
-  std::uint64_t recv_errors{0};
-  std::uint64_t rcvbuf_bytes{0};
-  std::uint64_t malformed{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t gave_up{0};
-  std::uint64_t duplicates{0};
-
-  // --- ground-truth egress (v2) --------------------------------------------
-  // What actually left the socket: every datagram counts, including the
-  // 13-byte reliability framing, retransmit copies and ACKs that the
-  // protocol-level query/response byte counters never see.
-  std::uint64_t datagrams_sent{0};
-  std::uint64_t bytes_sent{0};  ///< UDP payload bytes handed to sendto()
-  std::uint64_t acks_sent{0};
-  std::uint64_t data_bytes_sent{0};        ///< framed DATA, first send
-  std::uint64_t retransmit_bytes_sent{0};  ///< framed DATA, resends
-  std::uint64_t ack_bytes_sent{0};
-
-  // --- metrics registry snapshot (v2) --------------------------------------
-  // The node's full obs::MetricsRegistry at snapshot time. The supervisor
-  // merges these into the cluster-wide rollup and telemetry.jsonl series.
+  // --- counters ------------------------------------------------------------
+  // The node's full obs::MetricsRegistry at snapshot time: every layer's
+  // counters (rt.*, codec.*, udp.*, rel.*, fault.*) under their registry
+  // names. The supervisor merges these into the cluster-wide rollup and
+  // telemetry.jsonl series.
   obs::RegistrySnapshot metrics;
 
   // --- state ---------------------------------------------------------------

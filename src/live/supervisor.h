@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -103,7 +104,8 @@ struct LiveRunResult {
   bool strong_completeness{false};
   std::size_t false_suspicions{0};
 
-  // Counter totals across every report (all incarnations).
+  // Counter totals across every report (all incarnations), read from
+  // `metrics` through kLiveTotals below.
   std::uint64_t rounds{0};
   std::uint64_t full_queries_sent{0};
   std::uint64_t delta_queries_sent{0};
@@ -118,8 +120,8 @@ struct LiveRunResult {
   std::uint64_t retransmissions{0};
   std::uint64_t gave_up{0};
 
-  // Ground-truth egress totals (v2 reports): every datagram that left a
-  // node's socket, reliability framing and retransmit copies included.
+  // Ground-truth egress totals: every datagram that left a node's socket,
+  // reliability framing and retransmit copies included.
   std::uint64_t datagrams_sent{0};
   std::uint64_t wire_bytes_sent{0};
   std::uint64_t acks_sent{0};
@@ -150,6 +152,33 @@ struct LiveRunResult {
                                     static_cast<double>(queries_sent())
                               : 0.0;
   }
+};
+
+/// The registry counter that fills each LiveRunResult total. The
+/// supervisor sets every listed field from the merged `metrics`;
+/// counter_value() reads an unregistered name as 0, so a test checks every
+/// name here against a node's layer stack.
+struct LiveTotal {
+  std::uint64_t LiveRunResult::*field;
+  std::string_view counter;
+};
+inline constexpr LiveTotal kLiveTotals[] = {
+    {&LiveRunResult::rounds, "rt.rounds"},
+    {&LiveRunResult::full_queries_sent, "rt.full_queries_sent"},
+    {&LiveRunResult::delta_queries_sent, "rt.delta_queries_sent"},
+    {&LiveRunResult::need_full_sent, "rt.need_full_sent"},
+    {&LiveRunResult::need_full_received, "rt.need_full_received"},
+    {&LiveRunResult::query_bytes_sent, "rt.query_bytes_sent"},
+    {&LiveRunResult::response_bytes_sent, "rt.response_bytes_sent"},
+    {&LiveRunResult::datagrams_received, "udp.datagrams_received"},
+    {&LiveRunResult::truncated, "udp.truncated"},
+    {&LiveRunResult::recv_errors, "udp.recv_errors"},
+    {&LiveRunResult::malformed, "codec.malformed"},
+    {&LiveRunResult::retransmissions, "rel.retransmissions"},
+    {&LiveRunResult::gave_up, "rel.gave_up"},
+    {&LiveRunResult::datagrams_sent, "udp.datagrams_sent"},
+    {&LiveRunResult::wire_bytes_sent, "udp.bytes_sent"},
+    {&LiveRunResult::acks_sent, "rel.acks_sent"},
 };
 
 /// Resolves the mmrfd-node binary: $MMRFD_NODE_BIN if set, else candidates

@@ -12,7 +12,7 @@ FaultyTransport::FaultyTransport(DatagramTransport& inner,
   }
   obs::MetricsRegistry& reg =
       config.registry != nullptr ? *config.registry : *own_registry_;
-  sent_ = &reg.counter("fault.sent");
+  sent_ = &reg.counter("fault.sent");  // send() calls observed
   dropped_ = &reg.counter("fault.dropped");
   duplicated_ = &reg.counter("fault.duplicated");
   reordered_ = &reg.counter("fault.reordered");
@@ -100,17 +100,6 @@ void FaultyTransport::emit(ProcessId to, std::vector<std::uint8_t> datagram) {
   }
   if (truncated_to_nothing) return;
   inner_.send(to, datagram);
-}
-
-FaultStats FaultyTransport::stats() const {
-  FaultStats s;
-  s.sent = sent_->value();
-  s.dropped = dropped_->value();
-  s.duplicated = duplicated_->value();
-  s.reordered = reordered_->value();
-  s.corrupted = corrupted_->value();
-  s.truncated = truncated_->value();
-  return s;
 }
 
 }  // namespace mmrfd::transport

@@ -45,15 +45,6 @@ struct FaultConfig {
   obs::MetricsRegistry* registry{nullptr};
 };
 
-struct FaultStats {
-  std::uint64_t sent{0};  ///< send() calls observed
-  std::uint64_t dropped{0};
-  std::uint64_t duplicated{0};
-  std::uint64_t reordered{0};
-  std::uint64_t corrupted{0};
-  std::uint64_t truncated{0};
-};
-
 class FaultyTransport final : public DatagramTransport {
  public:
   FaultyTransport(DatagramTransport& inner, const FaultConfig& config);
@@ -69,8 +60,6 @@ class FaultyTransport final : public DatagramTransport {
   [[nodiscard]] std::uint32_t cluster_size() const override {
     return inner_.cluster_size();
   }
-
-  [[nodiscard]] FaultStats stats() const;
 
  private:
   /// Applies corruption/truncation to a private copy and emits it.

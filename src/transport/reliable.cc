@@ -58,10 +58,14 @@ ReliableDatagram::ReliableDatagram(DatagramTransport& inner,
       config.registry != nullptr ? *config.registry : *own_registry_;
   data_sent_ = &reg.counter("rel.data_sent");
   retransmissions_ = &reg.counter("rel.retransmissions");
-  gave_up_ = &reg.counter("rel.gave_up");
-  duplicates_ = &reg.counter("rel.duplicates");
+  gave_up_ = &reg.counter("rel.gave_up");  // frames dropped after max_retries
+  duplicates_ = &reg.counter("rel.duplicates");  // DATA suppressed by dedup
   acks_sent_ = &reg.counter("rel.acks_sent");
   malformed_ = &reg.counter("rel.malformed");
+  // Every byte this layer hands the inner transport, framing header
+  // included, split by cause: first transmissions, re-sent frames and
+  // 13-byte ACK frames. The upper layer's query/response byte counters see
+  // none of this overhead.
   data_bytes_sent_ = &reg.counter("rel.data_bytes_sent");
   retransmit_bytes_sent_ = &reg.counter("rel.retransmit_bytes_sent");
   ack_bytes_sent_ = &reg.counter("rel.ack_bytes_sent");
@@ -204,20 +208,6 @@ void ReliableDatagram::retransmit_loop() {
     }
     lock.lock();
   }
-}
-
-ReliableStats ReliableDatagram::stats() const {
-  ReliableStats s;
-  s.data_sent = data_sent_->value();
-  s.retransmissions = retransmissions_->value();
-  s.gave_up = gave_up_->value();
-  s.duplicates = duplicates_->value();
-  s.acks_sent = acks_sent_->value();
-  s.malformed = malformed_->value();
-  s.data_bytes_sent = data_bytes_sent_->value();
-  s.retransmit_bytes_sent = retransmit_bytes_sent_->value();
-  s.ack_bytes_sent = ack_bytes_sent_->value();
-  return s;
 }
 
 std::size_t ReliableDatagram::unacked() const {

@@ -76,26 +76,6 @@ struct ReliableConfig {
   obs::FlightRecorder* recorder{nullptr};
 };
 
-struct ReliableStats {
-  std::uint64_t data_sent{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t gave_up{0};       ///< frames dropped after max_retries
-  std::uint64_t duplicates{0};    ///< received DATA suppressed by dedup
-  std::uint64_t acks_sent{0};
-  std::uint64_t malformed{0};
-  /// True wire-byte accounting (closes the "bytes/query understates the
-  /// wire" gap): every byte this layer hands the inner transport, framing
-  /// header included, split by cause. The upper layer's query/response
-  /// byte counters see none of this overhead.
-  std::uint64_t data_bytes_sent{0};        ///< first transmissions
-  std::uint64_t retransmit_bytes_sent{0};  ///< re-sent frames
-  std::uint64_t ack_bytes_sent{0};         ///< 13-byte ACK frames
-
-  [[nodiscard]] std::uint64_t wire_bytes_sent() const {
-    return data_bytes_sent + retransmit_bytes_sent + ack_bytes_sent;
-  }
-};
-
 class ReliableDatagram final : public DatagramTransport {
  public:
   ReliableDatagram(DatagramTransport& inner, const ReliableConfig& config);
@@ -114,7 +94,6 @@ class ReliableDatagram final : public DatagramTransport {
     return inner_.cluster_size();
   }
 
-  [[nodiscard]] ReliableStats stats() const;
   /// Frames currently awaiting an ack.
   [[nodiscard]] std::size_t unacked() const;
 

@@ -28,8 +28,6 @@ class Transport {
 
   /// Sends to one peer. Thread-safe.
   virtual void send(ProcessId to, const WireMessage& msg) = 0;
-  /// Sends to every other process. Thread-safe.
-  virtual void broadcast(const WireMessage& msg) = 0;
 
   [[nodiscard]] virtual ProcessId self() const = 0;
   [[nodiscard]] virtual std::uint32_t cluster_size() const = 0;

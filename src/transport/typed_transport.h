@@ -1,12 +1,13 @@
 // TypedTransport — the codec layer: adapts any DatagramTransport (bytes) to
 // the typed Transport interface (WireMessage) the protocol drivers consume.
-// Malformed datagrams are counted and dropped, never surfaced.
+// Malformed datagrams are counted (codec.malformed) and dropped, never
+// surfaced.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <memory>
 #include <span>
 
+#include "obs/metrics_registry.h"
 #include "transport/datagram.h"
 #include "transport/transport.h"
 
@@ -14,8 +15,21 @@ namespace mmrfd::transport {
 
 class TypedTransport final : public Transport {
  public:
-  explicit TypedTransport(DatagramTransport& datagrams)
-      : datagrams_(datagrams) {}
+  /// `registry` receives the codec.* counters; the layer owns a private one
+  /// when null.
+  explicit TypedTransport(DatagramTransport& datagrams,
+                          obs::MetricsRegistry* registry = nullptr)
+      : datagrams_(datagrams),
+        own_registry_(registry == nullptr
+                          ? std::make_unique<obs::MetricsRegistry>()
+                          : nullptr),
+        // Datagrams rejected by the codec: undecodable, or naming a sender
+        // outside the cluster.
+        malformed_((registry != nullptr ? *registry : *own_registry_)
+                       .counter("codec.malformed")) {}
+
+  TypedTransport(const TypedTransport&) = delete;
+  TypedTransport& operator=(const TypedTransport&) = delete;
 
   void set_handler(Handler handler) override {
     handler_ = std::move(handler);
@@ -32,28 +46,16 @@ class TypedTransport final : public Transport {
     datagrams_.send(to, bytes);
   }
 
-  void broadcast(const WireMessage& msg) override {
-    const auto bytes = encode_envelope(self(), msg);
-    for (std::uint32_t i = 0; i < cluster_size(); ++i) {
-      if (i != self().value) datagrams_.send(ProcessId{i}, bytes);
-    }
-  }
-
   [[nodiscard]] ProcessId self() const override { return datagrams_.self(); }
   [[nodiscard]] std::uint32_t cluster_size() const override {
     return datagrams_.cluster_size();
-  }
-
-  /// Datagrams rejected by the codec since start.
-  [[nodiscard]] std::uint64_t malformed_count() const {
-    return malformed_.load();
   }
 
  private:
   void on_datagram(std::span<const std::uint8_t> datagram) {
     auto decoded = decode_envelope(datagram);
     if (!decoded || decoded->sender.value >= cluster_size()) {
-      malformed_.fetch_add(1);
+      malformed_.add(1);
       return;
     }
     handler_(decoded->sender, decoded->message);
@@ -61,7 +63,8 @@ class TypedTransport final : public Transport {
 
   DatagramTransport& datagrams_;
   Handler handler_;
-  std::atomic<std::uint64_t> malformed_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
+  obs::Counter& malformed_;
 };
 
 }  // namespace mmrfd::transport

@@ -49,12 +49,19 @@ UdpTransport::UdpTransport(const UdpConfig& config) : config_(config) {
   }
   obs::MetricsRegistry& reg =
       config.registry != nullptr ? *config.registry : *own_registry_;
+  // Every datagram the kernel hands us is counted exactly once: delivered,
+  // truncated, or errored. The send side counts what sendto() accepted (failed
+  // sends are not counted): the ground-truth wire bytes this process emitted,
+  // all framing included.
   datagrams_received_ = &reg.counter("udp.datagrams_received");
   bytes_received_ = &reg.counter("udp.bytes_received");
+  // Datagrams larger than the receive slot (MSG_TRUNC): dropped, counted.
   truncated_ = &reg.counter("udp.truncated");
+  // recvmmsg/recvfrom/poll failures other than EINTR/EAGAIN.
   recv_errors_ = &reg.counter("udp.recv_errors");
   datagrams_sent_ = &reg.counter("udp.datagrams_sent");
   bytes_sent_ = &reg.counter("udp.bytes_sent");
+  // SO_RCVBUF actually granted by the kernel (doubled on Linux).
   rcvbuf_gauge_ = &reg.gauge("udp.rcvbuf_bytes");
 }
 
@@ -71,8 +78,8 @@ void UdpTransport::start() {
   // a whole cluster's fan-in landing while the receiver thread is
   // descheduled: n peers can each have a full query plus a response in
   // flight to us within one pacing period, with slack for retransmissions.
-  // The kernel clamps to net.core.{r,w}mem_max silently; stats() reports
-  // what was actually granted.
+  // The kernel clamps to net.core.{r,w}mem_max silently; the
+  // udp.rcvbuf_bytes gauge reports what was actually granted.
   const std::size_t slot = slot_size(config_.n);
   const std::size_t auto_bytes = std::clamp<std::size_t>(
       4 * static_cast<std::size_t>(config_.n) * slot, std::size_t{256 * 1024},
@@ -84,7 +91,6 @@ void UdpTransport::start() {
   int granted = 0;
   socklen_t granted_len = sizeof granted;
   if (::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &granted, &granted_len) == 0) {
-    rcvbuf_bytes_ = static_cast<std::uint64_t>(granted);
     rcvbuf_gauge_->set(granted);
   }
   const sockaddr_in addr = peer_address(config_.base_port, config_.self);
@@ -189,18 +195,6 @@ void UdpTransport::receive_loop() {
     while (drain_ready() == kRecvBatch && !stopping_.load()) {
     }
   }
-}
-
-UdpStats UdpTransport::stats() const {
-  UdpStats s;
-  s.datagrams_received = datagrams_received_->value();
-  s.bytes_received = bytes_received_->value();
-  s.truncated = truncated_->value();
-  s.recv_errors = recv_errors_->value();
-  s.rcvbuf_bytes = rcvbuf_bytes_;
-  s.datagrams_sent = datagrams_sent_->value();
-  s.bytes_sent = bytes_sent_->value();
-  return s;
 }
 
 }  // namespace mmrfd::transport

@@ -13,7 +13,7 @@
 // machine): the receive loop drains in batches via recvmmsg where available,
 // SO_RCVBUF/SO_SNDBUF are sized to survive an n-process query fan-in landing
 // within one pacing period, and nothing is dropped silently — truncated
-// datagrams and receive errors are counted in UdpStats.
+// datagrams and receive errors are counted in the udp.* registry counters.
 #pragma once
 
 #include <atomic>
@@ -34,29 +34,12 @@ struct UdpConfig {
   std::uint16_t base_port{39000};
   /// Requested socket buffer size; 0 = auto (scales with n, so a whole
   /// round's fan-in of full queries fits while the receiver thread is
-  /// descheduled). The kernel may clamp; UdpStats reports the granted size.
+  /// descheduled). The kernel may clamp; the udp.rcvbuf_bytes gauge reports
+  /// the granted size.
   std::uint32_t socket_buffer_bytes{0};
   /// Shared metrics registry for the udp.* instruments; the transport owns
   /// a private one when null.
   obs::MetricsRegistry* registry{nullptr};
-};
-
-/// Wire-level accounting. Every datagram the kernel hands us is counted
-/// exactly once: delivered, truncated, or errored; every datagram we hand
-/// the kernel is counted on the send side — the ground-truth wire bytes
-/// this process emitted, all framing included.
-struct UdpStats {
-  std::uint64_t datagrams_received{0};
-  std::uint64_t bytes_received{0};
-  /// Datagrams larger than the receive slot (MSG_TRUNC): dropped, counted.
-  std::uint64_t truncated{0};
-  /// recvfrom/recvmmsg failures other than EINTR/EAGAIN.
-  std::uint64_t recv_errors{0};
-  /// SO_RCVBUF actually granted by the kernel (doubled on Linux).
-  std::uint64_t rcvbuf_bytes{0};
-  /// Datagrams/bytes accepted by sendto() (failed sends are not counted).
-  std::uint64_t datagrams_sent{0};
-  std::uint64_t bytes_sent{0};
 };
 
 class UdpTransport final : public DatagramTransport {
@@ -81,8 +64,6 @@ class UdpTransport final : public DatagramTransport {
     return config_.n;
   }
 
-  [[nodiscard]] UdpStats stats() const;
-
  private:
   void receive_loop();
   /// Drains one poll-ready batch; returns the number of datagrams handled.
@@ -98,8 +79,8 @@ class UdpTransport final : public DatagramTransport {
   // on Linux, a single slot for the portable recvfrom path.
   std::vector<std::uint8_t> recv_buffers_;
 
-  // Registry-backed counters (config.registry or the private fallback) —
-  // same relaxed-atomic cost as the raw members they replaced.
+  // Registry-backed instruments (config.registry or the private fallback),
+  // resolved once in the constructor.
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   obs::Counter* datagrams_received_{nullptr};
   obs::Counter* bytes_received_{nullptr};
@@ -108,7 +89,6 @@ class UdpTransport final : public DatagramTransport {
   obs::Counter* datagrams_sent_{nullptr};
   obs::Counter* bytes_sent_{nullptr};
   obs::Gauge* rcvbuf_gauge_{nullptr};
-  std::uint64_t rcvbuf_bytes_{0};
 };
 
 }  // namespace mmrfd::transport

@@ -114,9 +114,9 @@ TEST(LiveCluster, KillOneNodeAllSurvivorsConverge) {
     EXPECT_NE(std::find(r->suspected.begin(), r->suspected.end(), kVictim),
               r->suspected.end())
         << "survivor " << i << " does not suspect the victim";
-    EXPECT_GT(r->rounds, 0u);
-    EXPECT_EQ(r->truncated, 0u);
-    EXPECT_EQ(r->malformed, 0u);
+    EXPECT_GT(r->metrics.counter_value("rt.rounds"), 0u);
+    EXPECT_EQ(r->metrics.counter_value("udp.truncated"), 0u);
+    EXPECT_EQ(r->metrics.counter_value("codec.malformed"), 0u);
   }
   EXPECT_GT(result.delta_queries_sent, 0u);
   EXPECT_GT(result.bytes_per_query(), 0.0);
@@ -181,7 +181,7 @@ TEST(LiveCluster, RestartedNodeResyncsViaNeedFull) {
   }
   const NodeReport* rr = final_report(result, kRestartVictim);
   ASSERT_NE(rr, nullptr);
-  EXPECT_GT(rr->rounds, 0u);
+  EXPECT_GT(rr->metrics.counter_value("rt.rounds"), 0u);
   EXPECT_NE(
       std::find(rr->suspected.begin(), rr->suspected.end(), kDeadVictim),
       rr->suspected.end());
@@ -230,7 +230,7 @@ TEST(LiveCluster, CorruptedDatagramsAreRejectedNotFatal) {
     if (i == kVictim) continue;
     const NodeReport* r = final_report(result, i);
     ASSERT_NE(r, nullptr) << "survivor " << i << " has no report";
-    EXPECT_GT(r->rounds, 0u);
+    EXPECT_GT(r->metrics.counter_value("rt.rounds"), 0u);
     EXPECT_NE(std::find(r->suspected.begin(), r->suspected.end(), kVictim),
               r->suspected.end())
         << "survivor " << i << " does not suspect the victim";

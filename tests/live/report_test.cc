@@ -22,32 +22,33 @@ NodeReport sample_report() {
   r.pacing_ns = 50'000'000;
   r.origin_ns = 1'234'567'890'000ull;
   r.snapshot_ns = 9'876'543'210ull;
-  r.rounds = 431;
-  r.full_queries_sent = 112;
-  r.delta_queries_sent = 2961;
-  r.queries_received = 3001;
-  r.responses_received = 2999;
-  r.responses_sent = 3001;
-  r.need_full_sent = 2;
-  r.need_full_received = 1;
-  r.query_bytes_sent = 77'000;
-  r.response_bytes_sent = 42'000;
-  r.datagrams_received = 6000;
-  r.bytes_received = 150'000;
-  r.truncated = 1;
-  r.recv_errors = 0;
-  r.rcvbuf_bytes = 425'984;
-  r.malformed = 4;
-  r.retransmissions = 17;
-  r.gave_up = 1;
-  r.duplicates = 5;
-  r.datagrams_sent = 6100;
-  r.bytes_sent = 160'000;
-  r.acks_sent = 2900;
-  r.data_bytes_sent = 120'000;
-  r.retransmit_bytes_sent = 2'500;
-  r.ack_bytes_sent = 37'700;
-  r.metrics.counters = {{"rel.data_sent", 3073}, {"rt.rounds", 431}};
+  r.metrics.counters = {
+      {"codec.malformed", 4},
+      {"rel.ack_bytes_sent", 37'700},
+      {"rel.acks_sent", 2900},
+      {"rel.data_bytes_sent", 120'000},
+      {"rel.data_sent", 3073},
+      {"rel.duplicates", 5},
+      {"rel.gave_up", 1},
+      {"rel.retransmissions", 17},
+      {"rel.retransmit_bytes_sent", 2'500},
+      {"rt.delta_queries_sent", 2961},
+      {"rt.full_queries_sent", 112},
+      {"rt.need_full_received", 1},
+      {"rt.need_full_sent", 2},
+      {"rt.queries_received", 3001},
+      {"rt.query_bytes_sent", 77'000},
+      {"rt.response_bytes_sent", 42'000},
+      {"rt.responses_received", 2999},
+      {"rt.responses_sent", 3001},
+      {"rt.rounds", 431},
+      {"udp.bytes_received", 150'000},
+      {"udp.bytes_sent", 160'000},
+      {"udp.datagrams_received", 6000},
+      {"udp.datagrams_sent", 6100},
+      {"udp.recv_errors", 0},
+      {"udp.truncated", 1},
+  };
   r.metrics.gauges = {{"udp.rcvbuf_bytes", 425'984}};
   {
     obs::HistogramSnapshot h;
@@ -112,9 +113,9 @@ TEST(NodeReportCodec, GarbageLengthFieldRejectedWithoutAllocating) {
 TEST(NodeReportCodec, GarbageMetricCountsRejected) {
   // The embedded registry snapshot's counts are sanity-checked against the
   // buffer size too: flood the counter-count field (the first u32 after the
-  // fixed header of 4 magic + 4 version + 12 ids + 2 bools + 28 u64s).
+  // fixed header of 4 magic + 4 version + 12 ids + 2 bools + 3 u64s).
   auto bytes = encode_report(sample_report());
-  const std::size_t counter_count_at = 4 + 4 + 12 + 2 + 28 * 8;
+  const std::size_t counter_count_at = 4 + 4 + 12 + 2 + 3 * 8;
   for (std::size_t i = 0; i < 4; ++i) bytes[counter_count_at + i] = 0xFF;
   EXPECT_FALSE(decode_report(bytes).has_value());
 }
@@ -126,6 +127,8 @@ TEST(NodeReportCodec, RejectsBadMagicVersionAndTrailingGarbage) {
   EXPECT_FALSE(decode_report(corrupted).has_value());
   corrupted = bytes;
   corrupted[4] = 0xFF;  // version
+  EXPECT_FALSE(decode_report(corrupted).has_value());
+  corrupted[4] = 2;  // a v2 report, which still carried named counter fields
   EXPECT_FALSE(decode_report(corrupted).has_value());
   corrupted = bytes;
   corrupted.push_back(0);  // trailing garbage

@@ -13,9 +13,11 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "transport/inmemory_transport.h"
 
 namespace mmrfd::transport {
@@ -63,6 +65,17 @@ void start_send_only(DatagramTransport& t) {
   t.start();
 }
 
+/// A FaultConfig recording its fault.* counters into `reg`.
+FaultConfig config_into(obs::MetricsRegistry& reg) {
+  FaultConfig cfg;
+  cfg.registry = &reg;
+  return cfg;
+}
+
+std::uint64_t counter(const obs::MetricsRegistry& reg, std::string_view name) {
+  return reg.snapshot().counter_value(name);
+}
+
 std::vector<std::uint8_t> payload(std::uint32_t i) {
   return {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8),
           static_cast<std::uint8_t>(i >> 16),
@@ -71,7 +84,8 @@ std::vector<std::uint8_t> payload(std::uint32_t i) {
 
 TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
   InMemoryHub hub(2);
-  FaultyTransport faulty(hub.endpoint(ProcessId{0}), FaultConfig{});
+  obs::MetricsRegistry reg;
+  FaultyTransport faulty(hub.endpoint(ProcessId{0}), config_into(reg));
   Sink sink;
   sink.attach(hub.endpoint(ProcessId{1}));
   start_send_only(faulty);
@@ -84,9 +98,11 @@ TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
   for (std::uint32_t i = 0; i < 50; ++i) {
     EXPECT_EQ(got[i], payload(i)) << i;
   }
-  const auto s = faulty.stats();
-  EXPECT_EQ(s.sent, 50u);
-  EXPECT_EQ(s.dropped + s.duplicated + s.reordered + s.corrupted + s.truncated,
+  EXPECT_EQ(counter(reg, "fault.sent"), 50u);
+  EXPECT_EQ(counter(reg, "fault.dropped") + counter(reg, "fault.duplicated") +
+                counter(reg, "fault.reordered") +
+                counter(reg, "fault.corrupted") +
+                counter(reg, "fault.truncated"),
             0u);
   faulty.stop();
 }
@@ -94,7 +110,8 @@ TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
 TEST(FaultyTransport, FaultScheduleIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
     InMemoryHub hub(2);
-    FaultConfig cfg;
+    obs::MetricsRegistry reg;
+    FaultConfig cfg = config_into(reg);
     cfg.drop_rate = 0.2;
     cfg.duplicate_rate = 0.2;
     cfg.reorder_rate = 0.2;
@@ -106,28 +123,30 @@ TEST(FaultyTransport, FaultScheduleIsDeterministicPerSeed) {
     for (std::uint32_t i = 0; i < 500; ++i) {
       faulty.send(ProcessId{1}, payload(i));
     }
-    const auto s = faulty.stats();
+    const obs::RegistrySnapshot s = reg.snapshot();
     faulty.stop();
     return s;
   };
   const auto a = run(99);
   const auto b = run(99);
   const auto c = run(100);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.duplicated, b.duplicated);
-  EXPECT_EQ(a.reordered, b.reordered);
-  EXPECT_EQ(a.corrupted, b.corrupted);
-  EXPECT_EQ(a.truncated, b.truncated);
+  constexpr std::string_view kFaults[] = {"fault.dropped", "fault.duplicated",
+                                          "fault.reordered", "fault.corrupted",
+                                          "fault.truncated"};
+  bool seed_matters = false;
+  for (const std::string_view name : kFaults) {
+    EXPECT_EQ(a.counter_value(name), b.counter_value(name)) << name;
+    seed_matters |= a.counter_value(name) != c.counter_value(name);
+  }
   // Different seed, different schedule (all five counters agreeing across
   // seeds on 500 draws would mean the seed is ignored).
-  EXPECT_TRUE(a.dropped != c.dropped || a.duplicated != c.duplicated ||
-              a.reordered != c.reordered || a.corrupted != c.corrupted ||
-              a.truncated != c.truncated);
+  EXPECT_TRUE(seed_matters);
 }
 
 TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
   InMemoryHub hub(2);
-  FaultConfig cfg;
+  obs::MetricsRegistry reg;
+  FaultConfig cfg = config_into(reg);
   cfg.reorder_rate = 0.5;
   cfg.seed = 7;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
@@ -141,7 +160,7 @@ TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
   }
   faulty.stop();  // flushes the holdback slot — nothing may be lost
   ASSERT_TRUE(eventually([&] { return sink.count() == kSends; }));
-  EXPECT_GT(faulty.stats().reordered, 50u);
+  EXPECT_GT(counter(reg, "fault.reordered"), 50u);
 
   std::vector<std::uint32_t> order;
   for (const auto& d : sink.snapshot()) {
@@ -171,7 +190,8 @@ TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
 
 TEST(FaultyTransport, DuplicatesAreDeliveredTwice) {
   InMemoryHub hub(2);
-  FaultConfig cfg;
+  obs::MetricsRegistry reg;
+  FaultConfig cfg = config_into(reg);
   cfg.duplicate_rate = 1.0;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
   Sink sink;
@@ -182,13 +202,14 @@ TEST(FaultyTransport, DuplicatesAreDeliveredTwice) {
     faulty.send(ProcessId{1}, payload(i));
   }
   ASSERT_TRUE(eventually([&] { return sink.count() == 40; }));
-  EXPECT_EQ(faulty.stats().duplicated, 20u);
+  EXPECT_EQ(counter(reg, "fault.duplicated"), 20u);
   faulty.stop();
 }
 
 TEST(FaultyTransport, TruncationEmitsStrictPrefixes) {
   InMemoryHub hub(2);
-  FaultConfig cfg;
+  obs::MetricsRegistry reg;
+  FaultConfig cfg = config_into(reg);
   cfg.truncate_rate = 1.0;
   cfg.seed = 3;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
@@ -200,7 +221,7 @@ TEST(FaultyTransport, TruncationEmitsStrictPrefixes) {
   for (std::uint32_t i = 0; i < kSends; ++i) {
     faulty.send(ProcessId{1}, payload(i));
   }
-  EXPECT_EQ(faulty.stats().truncated, kSends);
+  EXPECT_EQ(counter(reg, "fault.truncated"), kSends);
   // Every delivery is a strict prefix of the 6-byte payload; empty results
   // are swallowed, so fewer than kSends may arrive. Give the queues a beat
   // to drain before snapshotting.
@@ -214,7 +235,8 @@ TEST(FaultyTransport, TruncationEmitsStrictPrefixes) {
 
 TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
   InMemoryHub hub(2);
-  FaultConfig cfg;
+  obs::MetricsRegistry reg;
+  FaultConfig cfg = config_into(reg);
   cfg.corrupt_rate = 1.0;
   cfg.seed = 5;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
@@ -227,7 +249,7 @@ TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
     faulty.send(ProcessId{1}, payload(i));
   }
   ASSERT_TRUE(eventually([&] { return sink.count() == kSends; }));
-  EXPECT_EQ(faulty.stats().corrupted, kSends);
+  EXPECT_EQ(counter(reg, "fault.corrupted"), kSends);
   std::size_t changed = 0;
   const auto got = sink.snapshot();
   for (std::uint32_t i = 0; i < kSends; ++i) {

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "core/detector_core.h"
+#include "obs/metrics_registry.h"
 #include "transport/inmemory_transport.h"
 #include "transport/reliable.h"
 #include "transport/typed_transport.h"
@@ -40,9 +41,13 @@ TEST(ReliableLoss, NeedFullResyncAfterPeerRestartUnderLoss) {
   constexpr ProcessId kB{1};
   InMemoryHub hub(2);
   hub.set_loss_every(3);
+  obs::MetricsRegistry reg_a;  // ra's rel.* counters
+  obs::MetricsRegistry reg_b;  // rb's rel.* counters
   ReliableConfig rcfg;
   rcfg.retransmit_interval = from_millis(5);
+  rcfg.registry = &reg_a;
   ReliableDatagram ra(hub.endpoint(kA), rcfg);
+  rcfg.registry = &reg_b;
   ReliableDatagram rb(hub.endpoint(kB), rcfg);
   TypedTransport ta(ra);
   TypedTransport tb(rb);
@@ -145,8 +150,11 @@ TEST(ReliableLoss, NeedFullResyncAfterPeerRestartUnderLoss) {
 
   // The loss injection was real and the reliability layer worked for it.
   EXPECT_GT(hub.dropped(), 0u);
-  EXPECT_GT(ra.stats().retransmissions + rb.stats().retransmissions, 0u);
-  EXPECT_EQ(ra.stats().gave_up, 0u);
+  const obs::RegistrySnapshot sa = reg_a.snapshot();
+  EXPECT_GT(sa.counter_value("rel.retransmissions") +
+                reg_b.snapshot().counter_value("rel.retransmissions"),
+            0u);
+  EXPECT_EQ(sa.counter_value("rel.gave_up"), 0u);
 
   ta.stop();
   tb.stop();

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <string_view>
 #include <thread>
 
+#include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
@@ -27,6 +29,10 @@ bool eventually(Cond cond, std::chrono::milliseconds budget = 10000ms) {
     std::this_thread::sleep_for(5ms);
   }
   return cond();
+}
+
+std::uint64_t counter(const obs::MetricsRegistry& reg, std::string_view name) {
+  return reg.snapshot().counter_value(name);
 }
 
 TEST(SeqTracker, MarksFreshOnce) {
@@ -57,13 +63,17 @@ TEST(SeqTracker, DuplicatesBelowFloorRejected) {
 
 struct ReliablePair {
   InMemoryHub hub{2};
-  ReliableConfig cfg;
+  obs::MetricsRegistry reg_a;  // a's rel.* counters
+  obs::MetricsRegistry reg_b;  // b's rel.* counters
   std::unique_ptr<ReliableDatagram> a;
   std::unique_ptr<ReliableDatagram> b;
 
   explicit ReliablePair(Duration retry = from_millis(10)) {
+    ReliableConfig cfg;
     cfg.retransmit_interval = retry;
+    cfg.registry = &reg_a;
     a = std::make_unique<ReliableDatagram>(hub.endpoint(ProcessId{0}), cfg);
+    cfg.registry = &reg_b;
     b = std::make_unique<ReliableDatagram>(hub.endpoint(ProcessId{1}), cfg);
   }
 };
@@ -109,23 +119,25 @@ TEST(ReliableDatagram, RecoversFromHeavyLossExactlyOnce) {
   }
   EXPECT_TRUE(eventually([&] { return got.load() == 100; }));
   EXPECT_GT(p.hub.dropped(), 0u);
-  EXPECT_GT(p.a->stats().retransmissions, 0u);
-  EXPECT_EQ(p.a->stats().gave_up, 0u);
+  EXPECT_GT(counter(p.reg_a, "rel.retransmissions"), 0u);
+  EXPECT_EQ(counter(p.reg_a, "rel.gave_up"), 0u);
   p.a->stop();
   p.b->stop();
 }
 
 TEST(ReliableDatagram, GivesUpOnDeadPeer) {
+  obs::MetricsRegistry reg;
   ReliableConfig cfg;
   cfg.retransmit_interval = from_millis(5);
   cfg.max_retries = 5;
+  cfg.registry = &reg;
   InMemoryHub hub(2);
   ReliableDatagram a(hub.endpoint(ProcessId{0}), cfg);
   a.set_handler([](std::span<const std::uint8_t>) {});
   a.start();
   // Peer 1 never starts: no acks ever come back.
   a.send(ProcessId{1}, std::vector<std::uint8_t>{42});
-  EXPECT_TRUE(eventually([&] { return a.stats().gave_up == 1; }));
+  EXPECT_TRUE(eventually([&] { return counter(reg, "rel.gave_up") == 1; }));
   EXPECT_EQ(a.unacked(), 0u);
   a.stop();
 }
@@ -145,7 +157,7 @@ TEST(ReliableDatagram, DuplicateDataReAcked) {
   }
   EXPECT_TRUE(eventually([&] { return got.load() == 30; }));
   EXPECT_TRUE(eventually([&] { return p.a->unacked() == 0; }));
-  EXPECT_GT(p.b->stats().duplicates, 0u);
+  EXPECT_GT(counter(p.reg_b, "rel.duplicates"), 0u);
   EXPECT_EQ(got.load(), 30);
   p.a->stop();
   p.b->stop();
@@ -249,11 +261,11 @@ TEST(ReliableDatagram, NoPrematureRetransmission) {
   // Well before the frame is interval-old nothing may have been resent —
   // the old code fired at its next wakeup (~150 ms after the send).
   std::this_thread::sleep_for(250ms);
-  EXPECT_EQ(p.a->stats().retransmissions, 0u);
+  EXPECT_EQ(counter(p.reg_a, "rel.retransmissions"), 0u);
   EXPECT_EQ(got.load(), 0);
   // Once the frame ages past the interval the resend happens and delivers.
   EXPECT_TRUE(eventually([&] { return got.load() == 1; }));
-  EXPECT_GE(p.a->stats().retransmissions, 1u);
+  EXPECT_GE(counter(p.reg_a, "rel.retransmissions"), 1u);
   p.a->stop();
   p.b->stop();
 }
@@ -269,6 +281,8 @@ TEST(ReliableDatagram, DupStormDeliversExactlyOnce) {
   ReliableConfig cfg;
   cfg.retransmit_interval = from_millis(20);
   ReliableDatagram a(faulty, cfg);
+  obs::MetricsRegistry reg_b;
+  cfg.registry = &reg_b;
   ReliableDatagram b(hub.endpoint(ProcessId{1}), cfg);
   std::atomic<int> got{0};
   std::vector<bool> seen(100, false);
@@ -288,7 +302,7 @@ TEST(ReliableDatagram, DupStormDeliversExactlyOnce) {
   }
   EXPECT_TRUE(eventually([&] { return got.load() == 100; }));
   EXPECT_TRUE(eventually([&] { return a.unacked() == 0; }));
-  EXPECT_GE(b.stats().duplicates, 90u);
+  EXPECT_GE(counter(reg_b, "rel.duplicates"), 90u);
   EXPECT_EQ(got.load(), 100);
   a.stop();
   b.stop();

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <thread>
 
+#include "obs/metrics_registry.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
 #include "transport/typed_transport.h"
@@ -68,20 +69,10 @@ TEST(InMemoryTransport, DeliversPointToPoint) {
   EXPECT_TRUE(eventually([&] { return got.load() == 1; }));
 }
 
-TEST(InMemoryTransport, BroadcastReachesAllOthers) {
-  TypedHub h(4);
-  std::atomic<int> got{0};
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    h.at(i).set_handler([&](ProcessId, const WireMessage&) { ++got; });
-    h.at(i).start();
-  }
-  h.at(2).broadcast(core::ResponseMessage{1});
-  EXPECT_TRUE(eventually([&] { return got.load() == 3; }));
-}
-
 TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
   InMemoryHub hub(2);
-  TypedTransport typed(hub.endpoint(ProcessId{1}));
+  obs::MetricsRegistry reg;
+  TypedTransport typed(hub.endpoint(ProcessId{1}), &reg);
   std::atomic<int> got{0};
   typed.set_handler([&](ProcessId, const WireMessage&) { ++got; });
   typed.start();
@@ -90,7 +81,8 @@ TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
       .set_handler([](std::span<const std::uint8_t>) {});
   hub.endpoint(ProcessId{0}).start();
   hub.endpoint(ProcessId{0}).send(ProcessId{1}, junk);
-  EXPECT_TRUE(eventually([&] { return typed.malformed_count() == 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return reg.snapshot().counter_value("codec.malformed") == 1; }));
   EXPECT_EQ(got.load(), 0);
   typed.stop();
 }
