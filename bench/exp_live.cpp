@@ -45,7 +45,6 @@ struct LiveResult {
   std::uint32_t f{0};
   std::uint64_t seed{0};
   bool delta{true};
-  bool reliable{false};
   double run_s{0};
   std::size_t crashes{0};
   std::size_t restarts{0};
@@ -67,9 +66,8 @@ struct LiveResult {
   std::uint64_t malformed{0};
   std::size_t unexpected_exits{0};
   std::size_t missing_reports{0};
-  // Ground-truth wire cost: bytes handed to sendto(), reliability framing,
-  // retransmits and ACKs included (v2 reports close the old gap where
-  // bytes_per_query counted only codec payloads).
+  // Ground-truth wire cost: bytes handed to sendto(), resend-wave copies
+  // included.
   std::uint64_t datagrams_sent{0};
   std::uint64_t wire_bytes_sent{0};
   double wire_bytes_per_query{0};
@@ -112,7 +110,6 @@ struct LiveResult {
     os << "    {\"n\": " << r.n << ", \"f\": " << r.f
        << ", \"seed\": " << r.seed
        << ", \"delta\": " << (r.delta ? "true" : "false")
-       << ", \"reliable\": " << (r.reliable ? "true" : "false")
        << ", \"run_s\": " << r.run_s << ", \"crashes\": " << r.crashes
        << ", \"restarts\": " << r.restarts << ", \"strong_completeness\": "
        << (r.strong_completeness ? "true" : "false")
@@ -178,7 +175,6 @@ int main(int argc, char** argv) {
       .flag("crashes", "0", "SIGKILLs per run (0 = f/2, at least 1)")
       .flag("restart", "false", "restart each victim ~2s after its kill")
       .flag("mode", "both", "query encoding: delta, full, or both")
-      .flag("reliable", "false", "stack ReliableDatagram under the codec")
       .flag("base-port", "41000", "first UDP port (configs stride upward)")
       .flag("node-bin", "", "mmrfd-node path (empty = auto-discover)")
       .flag("report-dir", "", "node report directory (empty = <out>.reports)")
@@ -236,7 +232,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool restart = args.get_bool("restart");
-  const bool reliable = args.get_bool("reliable");
   const std::string report_root = args.get("report-dir").empty()
                                       ? args.get("out") + ".reports"
                                       : args.get("report-dir");
@@ -297,7 +292,6 @@ int main(int argc, char** argv) {
     scfg.base_port = c.base_port;
     scfg.pacing = from_millis(static_cast<double>(args.get_int("period")));
     scfg.delta = c.delta;
-    scfg.reliable = reliable;
     scfg.flush = from_millis(static_cast<double>(args.get_int("flush-ms")));
     scfg.trace = args.get_bool("trace");
     // The causal kinds cost O(n) records per round, so a fixed-size ring
@@ -330,7 +324,6 @@ int main(int argc, char** argv) {
     r.f = f;
     r.seed = c.seed;
     r.delta = c.delta;
-    r.reliable = reliable;
     r.run_s = run_s;
     r.crashes = crashes;
     r.restarts = restarts;

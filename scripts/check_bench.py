@@ -6,8 +6,8 @@ configuration key and flags metric movements outside a tolerance band:
 
   * events_per_sec      — lower is a regression
   * bytes_per_query     — higher is a regression
-  * wire_bytes_per_query — higher is a regression (true wire cost: framing,
-                           retransmits and ACKs included)
+  * wire_bytes_per_query — higher is a regression (true wire cost: bytes
+                           handed to sendto(), resend-wave copies included)
   * detection_mean_s    — higher is a regression
   * detection_p50_s     — higher is a regression
   * detection_p99_s     — higher is a regression
@@ -48,7 +48,7 @@ METRICS = {
     "resend_wait_mean_ms": "down",
     "wire_mean_ms": "down",
 }
-KEY_FIELDS = ("n", "f", "seed", "delta", "reliable", "engine", "shards")
+KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards")
 
 
 def load_rows(path):

@@ -22,7 +22,6 @@
 #include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/reliable.h"
 #include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
@@ -108,7 +107,6 @@ int node_main(int argc, const char* const* argv) {
       .flag("resend-ms", "500",
             "re-issue a quorum-short query to silent peers at this interval")
       .flag("delta", "true", "delta-encode queries")
-      .flag("reliable", "false", "stack ReliableDatagram under the codec")
       .flag("rcvbuf", "0", "socket buffer bytes (0 = auto-scale with n)")
       .flag("report", "", "binary NodeReport path (empty = no reports)")
       .flag("flush-ms", "200", "report snapshot interval (ms)")
@@ -137,6 +135,14 @@ int node_main(int argc, const char* const* argv) {
   if (n < 2 || self >= n || f >= n) {
     std::cerr << "mmrfd-node: need n >= 2, self < n, f < n (got n=" << n
               << " self=" << self << " f=" << f << ")\n";
+    return 2;
+  }
+  const auto resend_ms = args.get_int("resend-ms");
+  if (resend_ms < 1) {
+    // A zero interval would make every quorum wait time out at once and
+    // spin resend waves in a tight loop.
+    std::cerr << "mmrfd-node: need --resend-ms >= 1 (got " << resend_ms
+              << ")\n";
     return 2;
   }
   const std::string report_path = args.get("report");
@@ -178,7 +184,7 @@ int node_main(int argc, const char* const* argv) {
 
   // Adversarial channel: inserted at the very bottom of the stack, so that
   // corrupted/truncated datagrams traverse everything a real damaged packet
-  // would — ReliableDatagram's frame parser (when stacked) and the codec.
+  // would, the codec included.
   transport::FaultConfig fault_cfg;
   fault_cfg.drop_rate = args.get_double("fault-drop");
   fault_cfg.duplicate_rate = args.get_double("fault-dup");
@@ -198,15 +204,6 @@ int node_main(int argc, const char* const* argv) {
     datagrams = &*faulty_layer;
   }
 
-  const bool reliable = args.get_bool("reliable");
-  std::optional<transport::ReliableDatagram> reliable_layer;
-  if (reliable) {
-    transport::ReliableConfig rel_cfg;
-    rel_cfg.registry = &registry;
-    rel_cfg.recorder = &recorder;
-    reliable_layer.emplace(*datagrams, rel_cfg);
-    datagrams = &*reliable_layer;
-  }
   transport::TypedTransport typed(*datagrams, &registry);
 
   transport::RealTimeConfig rcfg;
@@ -219,7 +216,7 @@ int node_main(int argc, const char* const* argv) {
   rcfg.detector.resync_interval =
       static_cast<std::uint32_t>(args.get_int("resync"));
   rcfg.pacing = from_millis(static_cast<double>(args.get_int("pacing-ms")));
-  rcfg.resend = from_millis(static_cast<double>(args.get_int("resend-ms")));
+  rcfg.resend = from_millis(static_cast<double>(resend_ms));
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(typed, rcfg);
@@ -240,7 +237,6 @@ int node_main(int argc, const char* const* argv) {
     r.n = n;
     r.f = f;
     r.delta = rcfg.detector.delta_queries;
-    r.reliable = reliable;
     r.pacing_ns = static_cast<std::uint64_t>(rcfg.pacing.count());
     r.origin_ns = origin_ns;
     const std::uint64_t now = wall_clock_ns();

@@ -40,14 +40,13 @@ struct NodeReport {
   std::uint32_t n{0};
   std::uint32_t f{0};
   bool delta{true};
-  bool reliable{false};
   std::uint64_t pacing_ns{0};
   std::uint64_t origin_ns{0};    ///< UNIX ns all timestamps are relative to
   std::uint64_t snapshot_ns{0};  ///< write instant, ns since origin
 
   // --- counters ------------------------------------------------------------
   // The node's full obs::MetricsRegistry at snapshot time: every layer's
-  // counters (rt.*, codec.*, udp.*, rel.*, fault.*) under their registry
+  // counters (rt.*, codec.*, udp.*, fault.*) under their registry
   // names. The supervisor merges these into the cluster-wide rollup and
   // telemetry.jsonl series.
   obs::RegistrySnapshot metrics;

@@ -68,6 +68,9 @@ Supervisor::Supervisor(SupervisorConfig config) : config_(std::move(config)) {
   if (config_.n < 2 || config_.f >= config_.n) {
     throw std::invalid_argument("Supervisor: need n >= 2 and f < n");
   }
+  if (config_.resend < from_millis(1)) {
+    throw std::invalid_argument("Supervisor: resend must be at least 1 ms");
+  }
   if (config_.report_dir.empty()) {
     throw std::invalid_argument("Supervisor: report_dir is required");
   }
@@ -99,7 +102,6 @@ void Supervisor::spawn(Proc& p) {
       "--pacing-ms=" +
           std::to_string(config_.pacing.count() / 1'000'000),
       "--delta=" + std::string(config_.delta ? "true" : "false"),
-      "--reliable=" + std::string(config_.reliable ? "true" : "false"),
       "--rcvbuf=" + std::to_string(config_.rcvbuf),
       "--report=" + report,
       "--flush-ms=" + std::to_string(config_.flush.count() / 1'000'000),

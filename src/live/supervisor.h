@@ -41,9 +41,10 @@ struct SupervisorConfig {
   std::uint32_t f{0};
   std::uint16_t base_port{40000};
   Duration pacing{from_millis(100)};
-  Duration resend{from_millis(500)};  ///< quorum-short query re-issue interval
+  /// Quorum-short query re-issue interval; at least 1 ms (nodes take it in
+  /// whole milliseconds).
+  Duration resend{from_millis(500)};
   bool delta{true};
-  bool reliable{false};
   std::uint32_t rcvbuf{0};          ///< per-node socket buffer (0 = auto)
   Duration flush{from_millis(200)}; ///< node report snapshot interval
   /// Cluster time-series sampling interval: every `telemetry`, the current
@@ -117,14 +118,11 @@ struct LiveRunResult {
   std::uint64_t truncated{0};
   std::uint64_t recv_errors{0};
   std::uint64_t malformed{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t gave_up{0};
 
   // Ground-truth egress totals: every datagram that left a node's socket,
-  // reliability framing and retransmit copies included.
+  // resend-wave copies included.
   std::uint64_t datagrams_sent{0};
   std::uint64_t wire_bytes_sent{0};
-  std::uint64_t acks_sent{0};
 
   /// Cluster-wide obs registry: every harvested report's snapshot merged
   /// (counters summed, histogram buckets summed — percentiles over the
@@ -174,11 +172,8 @@ inline constexpr LiveTotal kLiveTotals[] = {
     {&LiveRunResult::truncated, "udp.truncated"},
     {&LiveRunResult::recv_errors, "udp.recv_errors"},
     {&LiveRunResult::malformed, "codec.malformed"},
-    {&LiveRunResult::retransmissions, "rel.retransmissions"},
-    {&LiveRunResult::gave_up, "rel.gave_up"},
     {&LiveRunResult::datagrams_sent, "udp.datagrams_sent"},
     {&LiveRunResult::wire_bytes_sent, "udp.bytes_sent"},
-    {&LiveRunResult::acks_sent, "rel.acks_sent"},
 };
 
 /// Resolves the mmrfd-node binary: $MMRFD_NODE_BIN if set, else candidates

@@ -6,13 +6,14 @@
 //        │ WireMessage (typed)
 //   TypedTransport                  (codec: envelope encode/decode)
 //        │ datagrams (bytes)
-//   [ReliableDatagram]              (optional: seq/ack/retransmit/dedup)
+//   [FaultyTransport]               (optional: adversarial channel)
 //        │ datagrams (bytes)
-//   UdpDatagram / InMemoryHub       (sockets / threads)
+//   UdpTransport / InMemoryHub      (sockets / threads)
 //
 // The paper's model assumes reliable channels; on loopback UDP that is
-// effectively true, but any lossy deployment inserts ReliableDatagram
-// without touching protocol code.
+// effectively true. Loss recovery is not a layer here: RealTimeDetector's
+// resend waves (planned by core::RoundDriver) re-issue a quorum-short query
+// to the still-silent peers.
 #pragma once
 
 #include <cstdint>

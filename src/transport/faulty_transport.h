@@ -1,9 +1,8 @@
 // FaultyTransport — an adversarial-channel decorator for any
 // DatagramTransport: the live-path sibling of net::Network's fault knobs.
 //
-// Inserted anywhere in the byte-level stack (below ReliableDatagram to
-// attack its seq/ack machinery, below TypedTransport to feed the codec
-// malformed bytes), it perturbs outgoing datagrams:
+// Inserted below TypedTransport (so the codec is fed malformed bytes and the
+// detector's resend waves face real loss), it perturbs outgoing datagrams:
 //
 //   * drop        — the datagram never hits the wire;
 //   * duplicate   — sent twice back-to-back;

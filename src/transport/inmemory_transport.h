@@ -1,8 +1,8 @@
 // In-memory threaded transport: n endpoints exchanging raw datagrams through
 // per-receiver queues, each drained by a dedicated dispatch thread. The
 // multi-threaded analogue of net::Network — real concurrency, loopback
-// latency — used by the transport integration tests and the reliability
-// layer's lossy-link tests (see set_loss_every).
+// latency — used by the transport integration tests and the lossy-link
+// tests of the detector's resend waves (see set_loss_every).
 #pragma once
 
 #include <atomic>
@@ -34,7 +34,7 @@ class InMemoryHub {
   }
 
   /// Deterministic loss injection: every k-th datagram enqueued hub-wide is
-  /// dropped (0 = no loss). For the reliability-layer tests.
+  /// dropped (0 = no loss). For the lossy-link tests.
   void set_loss_every(std::uint64_t k) { loss_every_.store(k); }
 
   [[nodiscard]] std::uint64_t dropped() const { return dropped_.load(); }

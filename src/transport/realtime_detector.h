@@ -43,8 +43,9 @@ struct RealTimeConfig {
   /// Shared metrics registry for the rt.* instruments; the detector owns a
   /// private one when null. Sharing one registry across the node's whole
   /// stack gives the report writer a single snapshot to embed. Query and
-  /// response bytes are codec-level; a ReliableDatagram's framing and
-  /// retransmits underneath are its own rel.* counters.
+  /// response bytes are the encoded datagrams handed to the transport,
+  /// resend-wave copies included, so directly over UdpTransport they sum
+  /// to udp.bytes_sent.
   obs::MetricsRegistry* registry{nullptr};
   /// Flight recorder for query/response/resend traces, forwarded to the
   /// core for its round/suspicion records too (may be null).

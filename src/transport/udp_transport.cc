@@ -34,7 +34,7 @@ constexpr std::size_t kRecvBatch = 1;
 
 /// One receive slot must hold the largest protocol datagram: a full query
 /// carries at most 2n tagged entries (12 bytes each) plus envelope/epoch
-/// headers, and the reliability layer's framing adds 13 bytes on top.
+/// headers.
 std::size_t slot_size(std::uint32_t n) {
   return std::clamp<std::size_t>(96 + 24 * static_cast<std::size_t>(n),
                                  std::size_t{2048}, std::size_t{64 * 1024});
@@ -50,9 +50,10 @@ UdpTransport::UdpTransport(const UdpConfig& config) : config_(config) {
   obs::MetricsRegistry& reg =
       config.registry != nullptr ? *config.registry : *own_registry_;
   // Every datagram the kernel hands us is counted exactly once: delivered,
-  // truncated, or errored. The send side counts what sendto() accepted (failed
-  // sends are not counted): the ground-truth wire bytes this process emitted,
-  // all framing included.
+  // truncated, or errored. The send side counts what sendto() accepted: the
+  // ground-truth wire bytes this process emitted. A send that fails (or finds
+  // the socket closed) is counted in udp.send_errors instead, so no send
+  // disappears from the books.
   datagrams_received_ = &reg.counter("udp.datagrams_received");
   bytes_received_ = &reg.counter("udp.bytes_received");
   // Datagrams larger than the receive slot (MSG_TRUNC): dropped, counted.
@@ -61,6 +62,7 @@ UdpTransport::UdpTransport(const UdpConfig& config) : config_(config) {
   recv_errors_ = &reg.counter("udp.recv_errors");
   datagrams_sent_ = &reg.counter("udp.datagrams_sent");
   bytes_sent_ = &reg.counter("udp.bytes_sent");
+  send_errors_ = &reg.counter("udp.send_errors");
   // SO_RCVBUF actually granted by the kernel (doubled on Linux).
   rcvbuf_gauge_ = &reg.gauge("udp.rcvbuf_bytes");
 }
@@ -116,7 +118,10 @@ void UdpTransport::stop() {
 
 void UdpTransport::send(ProcessId to,
                         std::span<const std::uint8_t> datagram) {
-  if (fd_ < 0) return;
+  if (fd_ < 0) {
+    send_errors_->add(1);  // not started, or already stopped
+    return;
+  }
   const sockaddr_in addr = peer_address(config_.base_port, to);
   ssize_t sent = 0;
   do {
@@ -126,8 +131,10 @@ void UdpTransport::send(ProcessId to,
   if (sent >= 0) {
     datagrams_sent_->add(1);
     bytes_sent_->add(static_cast<std::uint64_t>(sent));
+    return;
   }
-  if (sent < 0 && errno != ECONNREFUSED) {
+  send_errors_->add(1);
+  if (errno != ECONNREFUSED) {
     // ECONNREFUSED is a late ICMP echo of a previous send to a dead peer —
     // routine while the cluster suspects a crashed process, not worth noise.
     MMRFD_LOG_WARN("udp") << "sendto " << to << " failed: "

@@ -6,14 +6,16 @@
 // Deliberate UDP fit: the protocol tolerates loss of RESPONSEs (a query
 // simply waits for other responders) and QUERYs are re-issued every round,
 // so datagram semantics cost only detection sharpness, never safety. (The
-// formal model assumes reliable channels; on loopback UDP loss is nil. A
-// lossy-WAN deployment stacks ReliableDatagram on top — see reliable.h.)
+// formal model assumes reliable channels; on loopback UDP loss is nil, and
+// elsewhere RealTimeDetector's resend waves re-issue a quorum-short query
+// until it terminates.)
 //
 // Scale hardening (the live-cluster subsystem runs 128+ of these per
 // machine): the receive loop drains in batches via recvmmsg where available,
 // SO_RCVBUF/SO_SNDBUF are sized to survive an n-process query fan-in landing
 // within one pacing period, and nothing is dropped silently — truncated
-// datagrams and receive errors are counted in the udp.* registry counters.
+// datagrams and send/receive errors are counted in the udp.* registry
+// counters.
 #pragma once
 
 #include <atomic>
@@ -88,6 +90,7 @@ class UdpTransport final : public DatagramTransport {
   obs::Counter* recv_errors_{nullptr};
   obs::Counter* datagrams_sent_{nullptr};
   obs::Counter* bytes_sent_{nullptr};
+  obs::Counter* send_errors_{nullptr};
   obs::Gauge* rcvbuf_gauge_{nullptr};
 };
 

@@ -7,7 +7,6 @@
 #include "live/supervisor.h"
 #include "obs/metrics_registry.h"
 #include "transport/realtime_detector.h"
-#include "transport/reliable.h"
 #include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
@@ -23,10 +22,7 @@ TEST(LiveTotals, EveryNameIsRegisteredByTheNodeStack) {
   ucfg.n = 3;
   ucfg.registry = &registry;
   transport::UdpTransport udp(ucfg);
-  transport::ReliableConfig rel_cfg;
-  rel_cfg.registry = &registry;
-  transport::ReliableDatagram reliable(udp, rel_cfg);
-  transport::TypedTransport typed(reliable, &registry);
+  transport::TypedTransport typed(udp, &registry);
   transport::RealTimeConfig rcfg;
   rcfg.detector.self = ProcessId{0};
   rcfg.detector.n = 3;

@@ -18,20 +18,12 @@ NodeReport sample_report() {
   r.n = 8;
   r.f = 2;
   r.delta = true;
-  r.reliable = true;
   r.pacing_ns = 50'000'000;
   r.origin_ns = 1'234'567'890'000ull;
   r.snapshot_ns = 9'876'543'210ull;
   r.metrics.counters = {
       {"codec.malformed", 4},
-      {"rel.ack_bytes_sent", 37'700},
-      {"rel.acks_sent", 2900},
-      {"rel.data_bytes_sent", 120'000},
-      {"rel.data_sent", 3073},
-      {"rel.duplicates", 5},
-      {"rel.gave_up", 1},
-      {"rel.retransmissions", 17},
-      {"rel.retransmit_bytes_sent", 2'500},
+      {"fault.dropped", 5},
       {"rt.delta_queries_sent", 2961},
       {"rt.full_queries_sent", 112},
       {"rt.need_full_received", 1},
@@ -47,6 +39,7 @@ NodeReport sample_report() {
       {"udp.datagrams_received", 6000},
       {"udp.datagrams_sent", 6100},
       {"udp.recv_errors", 0},
+      {"udp.send_errors", 2},
       {"udp.truncated", 1},
   };
   r.metrics.gauges = {{"udp.rcvbuf_bytes", 425'984}};
@@ -113,15 +106,16 @@ TEST(NodeReportCodec, GarbageLengthFieldRejectedWithoutAllocating) {
 TEST(NodeReportCodec, GarbageMetricCountsRejected) {
   // The embedded registry snapshot's counts are sanity-checked against the
   // buffer size too: flood the counter-count field (the first u32 after the
-  // fixed header of 4 magic + 4 version + 12 ids + 2 bools + 3 u64s).
+  // fixed header of 4 magic + 4 version + 12 ids + 1 bool + 3 u64s).
   auto bytes = encode_report(sample_report());
-  const std::size_t counter_count_at = 4 + 4 + 12 + 2 + 3 * 8;
+  const std::size_t counter_count_at = 4 + 4 + 12 + 1 + 3 * 8;
   for (std::size_t i = 0; i < 4; ++i) bytes[counter_count_at + i] = 0xFF;
   EXPECT_FALSE(decode_report(bytes).has_value());
 }
 
 TEST(NodeReportCodec, RejectsBadMagicVersionAndTrailingGarbage) {
   auto bytes = encode_report(sample_report());
+  ASSERT_EQ(bytes[4], 4);  // the version this build writes
   auto corrupted = bytes;
   corrupted[0] = 'X';
   EXPECT_FALSE(decode_report(corrupted).has_value());
@@ -129,6 +123,8 @@ TEST(NodeReportCodec, RejectsBadMagicVersionAndTrailingGarbage) {
   corrupted[4] = 0xFF;  // version
   EXPECT_FALSE(decode_report(corrupted).has_value());
   corrupted[4] = 2;  // a v2 report, which still carried named counter fields
+  EXPECT_FALSE(decode_report(corrupted).has_value());
+  corrupted[4] = 3;  // a v3 report, which still carried the reliable flag
   EXPECT_FALSE(decode_report(corrupted).has_value());
   corrupted = bytes;
   corrupted.push_back(0);  // trailing garbage
