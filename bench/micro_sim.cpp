@@ -29,6 +29,32 @@ void BM_ScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleFire)->Arg(64)->Arg(1024)->Arg(16384);
 
+void BM_HoldExponential(benchmark::State& state) {
+  // The classic "hold" model at a fixed queue depth: every fired event
+  // schedules one successor an exponentially distributed delay ahead. Unlike
+  // BM_ScheduleFire's almost-FIFO times, a random future time lands deep in
+  // the heap and the pop that follows sifts the last leaf down from the root
+  // — the regime of a large simulated cluster (sim_steady keeps ~8.7k
+  // events pending at n=300).
+  struct Hold {
+    sim::Simulation* sim;
+    Xoshiro256* rng;
+    void operator()() const {
+      sim->schedule(Duration{static_cast<std::int64_t>(rng->exponential(1e6))},
+                    *this);
+    }
+  };
+  sim::Simulation sim;
+  Xoshiro256 rng(1);
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  for (std::size_t i = 0; i < depth; ++i) Hold{&sim, &rng}();
+  // One pop (plus its successor's push) per iteration: the earliest event
+  // fires and run_until returns at its time.
+  for (auto _ : state) sim.run_until(sim.next_event_time());
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_fired()));
+}
+BENCHMARK(BM_HoldExponential)->Arg(1024)->Arg(8192);
+
 void BM_ScheduleCancel(benchmark::State& state) {
   // The baseline detectors' timer pattern: arm, then cancel on heartbeat.
   sim::Simulation sim;

@@ -21,6 +21,12 @@ configuration key and flags metric movements outside a tolerance band:
 The key includes the engine/shards columns exp_scale emits, so a serial and
 a sharded run of the same (n, f, seed) never get compared to each other.
 
+Rows are compared only when both ran on the same host: equal nproc,
+compiler, build_type and kernel in the `host` block (a row's own `host`
+overrides its file's). A row whose host differs from, or is missing on
+either side, is skipped with a warning — wall-clock figures from different
+machines say nothing about the code.
+
 Warn-only by default (always exits 0): bench hardware — CI runners above
 all — is far too noisy to gate merges on, so the output is a trend signal
 for humans. Pass --strict to exit 1 on any regression once a quieter rig
@@ -49,9 +55,12 @@ METRICS = {
     "wire_mean_ms": "down",
 }
 KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards")
+HOST_FIELDS = ("nproc", "compiler", "build_type", "kernel")
 
 
 def load_rows(path):
+    """Returns the file's result rows, each paired with its host identity
+    (a tuple of HOST_FIELDS values, or None when any of them is missing)."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -60,7 +69,19 @@ def load_rows(path):
     rows = doc.get("results", [])
     if not isinstance(rows, list):
         sys.exit(f"check_bench: {path}: 'results' is not a list")
-    return rows
+    return [(row, host_id(row.get("host", doc.get("host")))) for row in rows]
+
+
+def host_id(host):
+    if not isinstance(host, dict) or any(k not in host for k in HOST_FIELDS):
+        return None
+    return tuple(host[k] for k in HOST_FIELDS)
+
+
+def fmt_host(host):
+    if host is None:
+        return "unknown host"
+    return ", ".join(f"{k}={v}" for k, v in zip(HOST_FIELDS, host))
 
 
 def row_key(row):
@@ -89,18 +110,27 @@ def main():
     )
     args = parser.parse_args()
 
-    baseline = {row_key(r): r for r in load_rows(args.baseline)}
+    baseline = {row_key(r): (r, h) for r, h in load_rows(args.baseline)}
     fresh_rows = load_rows(args.fresh)
 
     regressions = 0
     compared = 0
     unmatched = 0
-    for row in fresh_rows:
+    host_skipped = 0
+    for row, host in fresh_rows:
         key = row_key(row)
-        base = baseline.get(key)
-        if base is None:
+        if key not in baseline:
             unmatched += 1
             print(f"[skip] {fmt_key(key)}: no baseline row")
+            continue
+        base, base_host = baseline[key]
+        if host is None or host != base_host:
+            host_skipped += 1
+            why = "hosts differ" if host and base_host else "host unknown"
+            print(
+                f"[warn] {fmt_key(key)}: {why}, not compared "
+                f"(baseline: {fmt_host(base_host)}; fresh: {fmt_host(host)})"
+            )
             continue
         for metric, direction in METRICS.items():
             if metric not in row or metric not in base:
@@ -126,7 +156,8 @@ def main():
     print(
         f"\ncheck_bench: {compared} metric(s) compared, "
         f"{regressions} regression(s), {unmatched} fresh row(s) without a "
-        f"baseline (tolerance {args.tolerance:.0%})"
+        f"baseline, {host_skipped} skipped for a host mismatch "
+        f"(tolerance {args.tolerance:.0%})"
     )
     if regressions and not args.strict:
         print("check_bench: warn-only mode — not failing the build")

@@ -186,13 +186,15 @@ bool DetectorCore::on_response(ProcessId from, const ResponseMessage& response) 
   if (responded_[from.value]) return false;  // duplicate
   responded_[from.value] = true;
   rec_from_.push_back(from);
-  if (!terminated_) {
-    winning_.push_back(from);
-    if (rec_from_.size() >= config_.quorum()) {
-      terminated_ = true;
-      std::sort(winning_.begin(), winning_.end());
-      return true;
+  if (!terminated_ && rec_from_.size() >= config_.quorum()) {
+    terminated_ = true;
+    // At the quorum instant the responder set is exactly the first quorum()
+    // responders, so the bitmap scan yields the winning set already sorted.
+    winning_.clear();
+    for (std::uint32_t i = 0; i < config_.n; ++i) {
+      if (responded_[i]) winning_.push_back(ProcessId{i});
     }
+    return true;
   }
   return false;
 }
@@ -240,7 +242,12 @@ void DetectorCore::finish_round() {
 
 ResponseMessage DetectorCore::on_query(ProcessId from,
                                        const QueryMessage& query) {
-  insert_sorted(known_, from);  // T2 line 20 (no-op with known membership)
+  // T2 line 20. known_ starts as Pi \ {self}, so only a sender outside Pi
+  // (a forged live-path id) or self can change it; skip the search for
+  // every other sender.
+  if (from.value >= config_.n || from == config_.self) {
+    insert_sorted(known_, from);
+  }
 
   // Epoch miss: a delta built on a base we never acknowledged (we lost
   // state, or the ack the sender saw was not ours). The entries themselves

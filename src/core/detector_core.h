@@ -199,8 +199,9 @@ class DetectorCore final : public FailureDetector {
   [[nodiscard]] std::span<const ProcessId> rec_from() const {
     return rec_from_;
   }
-  /// The first quorum() responders (self included) — the *winning* set used
-  /// by the MP property machinery.
+  /// The first quorum() responders (self included), sorted by id — the
+  /// *winning* set used by the MP property machinery. Filled at the quorum
+  /// instant; until then it holds only self.
   [[nodiscard]] std::span<const ProcessId> winning() const { return winning_; }
 
   /// Processes this node has ever heard a query from (plus the initial

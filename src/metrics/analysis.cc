@@ -2,11 +2,49 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 namespace mmrfd::metrics {
+
+namespace {
+
+/// Hash key of an (observer, subject) pair: observer in the high half,
+/// subject in the low half, so key order is (observer, subject) order.
+std::uint64_t pair_key(ProcessId obs, ProcessId subj) {
+  return (static_cast<std::uint64_t>(obs.value) << 32) | subj.value;
+}
+
+/// One pass over the log for the wrongful-suspicion intervals between two
+/// correct processes: calls `on_closed(observer, subject, start, end)` for
+/// each repaired interval in log order, and returns the intervals still open
+/// at the end of the log as pair_key -> start. A repeated kSuspected on an
+/// open pair keeps the earlier start.
+template <typename OnClosed>
+std::unordered_map<std::uint64_t, TimePoint> scan_false_suspicions(
+    const EventLog& log, const std::vector<bool>& correct,
+    OnClosed&& on_closed) {
+  const auto is_correct = [&](ProcessId id) {
+    return id.value < correct.size() && correct[id.value];
+  };
+  std::unordered_map<std::uint64_t, TimePoint> open;
+  for (const auto& e : log.events()) {
+    if (!is_correct(e.subject) || !is_correct(e.observer)) continue;
+    const std::uint64_t key = pair_key(e.observer, e.subject);
+    if (e.kind == SuspicionEventKind::kSuspected) {
+      open.try_emplace(key, e.when);
+    } else if (e.kind == SuspicionEventKind::kCleared) {
+      if (auto it = open.find(key); it != open.end()) {
+        on_closed(e.observer, e.subject, it->second, e.when);
+        open.erase(it);
+      }
+    }
+  }
+  return open;
+}
+
+}  // namespace
 
 Analysis::Analysis(const EventLog& log, std::uint32_t n, TimePoint horizon)
     : log_(log), n_(n), horizon_(horizon) {}
@@ -18,10 +56,19 @@ std::optional<TimePoint> Analysis::crash_time(ProcessId id) const {
   return std::nullopt;
 }
 
+std::vector<bool> Analysis::correct_mask() const {
+  std::vector<bool> mask(n_, true);
+  for (const auto& c : log_.crashes()) {
+    if (c.subject.value < n_) mask[c.subject.value] = false;
+  }
+  return mask;
+}
+
 std::vector<ProcessId> Analysis::correct() const {
+  const auto mask = correct_mask();
   std::vector<ProcessId> out;
   for (std::uint32_t i = 0; i < n_; ++i) {
-    if (!crash_time(ProcessId{i})) out.push_back(ProcessId{i});
+    if (mask[i]) out.push_back(ProcessId{i});
   }
   return out;
 }
@@ -40,14 +87,11 @@ std::vector<Detection> Analysis::detections() const {
   // O(crashes * observers * events), which at n = 1000 with f/2 crashes is
   // ~10^10 event visits and dominated entire large-n sweeps.
   std::unordered_map<std::uint64_t, TimePoint> last_suspected;
-  const auto key = [](ProcessId obs, ProcessId subj) {
-    return (static_cast<std::uint64_t>(obs.value) << 32) | subj.value;
-  };
   for (const auto& e : log_.events()) {
     if (e.kind == SuspicionEventKind::kSuspected) {
-      last_suspected[key(e.observer, e.subject)] = e.when;
+      last_suspected[pair_key(e.observer, e.subject)] = e.when;
     } else if (e.kind == SuspicionEventKind::kCleared) {
-      last_suspected.erase(key(e.observer, e.subject));
+      last_suspected.erase(pair_key(e.observer, e.subject));
     }
   }
   std::vector<Detection> out;
@@ -59,7 +103,7 @@ std::vector<Detection> Analysis::detections() const {
       d.observer = obs;
       d.subject = c.subject;
       d.crash_at = c.when;
-      if (auto it = last_suspected.find(key(obs, c.subject));
+      if (auto it = last_suspected.find(pair_key(obs, c.subject));
           it != last_suspected.end()) {
         d.detected_at = it->second;
       }
@@ -101,28 +145,20 @@ std::vector<CrashDetectionSummary> Analysis::crash_summaries() const {
 
 std::vector<FalseSuspicion> Analysis::false_suspicions() const {
   std::vector<FalseSuspicion> out;
-  const auto correct_set = correct();
-  auto is_correct = [&](ProcessId id) {
-    return std::binary_search(correct_set.begin(), correct_set.end(), id);
-  };
-  // Track open suspicion intervals per (observer, subject).
-  std::map<std::pair<std::uint32_t, std::uint32_t>, TimePoint> open;
-  for (const auto& e : log_.events()) {
-    if (!is_correct(e.subject) || !is_correct(e.observer)) continue;
-    const auto key = std::make_pair(e.observer.value, e.subject.value);
-    if (e.kind == SuspicionEventKind::kSuspected) {
-      open.emplace(key, e.when);
-    } else if (e.kind == SuspicionEventKind::kCleared) {
-      auto it = open.find(key);
-      if (it != open.end()) {
-        out.push_back(FalseSuspicion{e.observer, e.subject, it->second, e.when});
-        open.erase(it);
-      }
-    }
-  }
-  for (const auto& [key, start] : open) {
-    out.push_back(FalseSuspicion{ProcessId{key.first}, ProcessId{key.second},
-                                 start, std::nullopt});
+  const auto open = scan_false_suspicions(
+      log_, correct_mask(),
+      [&](ProcessId obs, ProcessId subj, TimePoint start, TimePoint end) {
+        out.push_back(FalseSuspicion{obs, subj, start, end});
+      });
+  // Still-open intervals follow the closed ones in (observer, subject)
+  // order, so the unstable sort below sees one fixed input sequence.
+  std::vector<std::pair<std::uint64_t, TimePoint>> left(open.begin(),
+                                                        open.end());
+  std::sort(left.begin(), left.end());
+  for (const auto& [key, start] : left) {
+    const ProcessId obs{static_cast<std::uint32_t>(key >> 32)};
+    const ProcessId subj{static_cast<std::uint32_t>(key)};
+    out.push_back(FalseSuspicion{obs, subj, start, std::nullopt});
   }
   std::sort(out.begin(), out.end(),
             [](const FalseSuspicion& a, const FalseSuspicion& b) {
@@ -157,39 +193,35 @@ std::vector<FalseSuspicionPoint> Analysis::false_suspicion_series() const {
 }
 
 std::optional<TimePoint> Analysis::accuracy_stabilization() const {
-  // Aggregate one false_suspicions() pass per subject (the seed version
-  // recomputed the whole interval list once per correct process). For each
-  // p: the last repair instant naming p, or disqualification if some
-  // interval never closes.
-  std::unordered_map<std::uint32_t, TimePoint> last_clear;
-  std::unordered_set<std::uint32_t> open_forever;
-  for (const auto& fs : false_suspicions()) {
-    if (!fs.cleared_at) {
-      open_forever.insert(fs.subject.value);
-      continue;
-    }
-    auto [it, inserted] =
-        last_clear.try_emplace(fs.subject.value, *fs.cleared_at);
-    if (!inserted) it->second = std::max(it->second, *fs.cleared_at);
+  // One interval scan for every subject, without materialising or sorting
+  // the interval list. For each correct p: the last repair instant naming p,
+  // or disqualification if some interval never closes.
+  const auto mask = correct_mask();
+  std::vector<TimePoint> last_clear(n_, kTimeZero);
+  const auto open = scan_false_suspicions(
+      log_, mask, [&](ProcessId, ProcessId subj, TimePoint, TimePoint end) {
+        last_clear[subj.value] = std::max(last_clear[subj.value], end);
+      });
+  std::vector<bool> open_forever(n_, false);
+  for (const auto& entry : open) {
+    open_forever[static_cast<std::uint32_t>(entry.first)] = true;  // subject
   }
   std::optional<TimePoint> best;
-  for (ProcessId p : correct()) {
-    if (open_forever.contains(p.value)) continue;
-    TimePoint last = kTimeZero;
-    if (auto it = last_clear.find(p.value); it != last_clear.end()) {
-      last = it->second;
-    }
-    if (!best || last < *best) best = last;
+  for (std::uint32_t p = 0; p < n_; ++p) {
+    if (!mask[p] || open_forever[p]) continue;
+    if (!best || last_clear[p] < *best) best = last_clear[p];
   }
   return best;
 }
 
 std::optional<TimePoint> Analysis::full_accuracy_stabilization() const {
   TimePoint last = kTimeZero;
-  for (const auto& fs : false_suspicions()) {
-    if (!fs.cleared_at) return std::nullopt;
-    last = std::max(last, *fs.cleared_at);
-  }
+  const auto open = scan_false_suspicions(
+      log_, correct_mask(),
+      [&](ProcessId, ProcessId, TimePoint, TimePoint end) {
+        last = std::max(last, end);
+      });
+  if (!open.empty()) return std::nullopt;
   return last;
 }
 
@@ -212,10 +244,9 @@ RollupSummary summarize_rollup(const std::vector<PairRollup>& pairs,
 
   std::unordered_map<std::uint64_t, const PairRollup*> by_key;
   by_key.reserve(pairs.size());
-  const auto key = [](ProcessId obs, ProcessId subj) {
-    return (static_cast<std::uint64_t>(obs.value) << 32) | subj.value;
-  };
-  for (const auto& p : pairs) by_key.emplace(key(p.observer, p.subject), &p);
+  for (const auto& p : pairs) {
+    by_key.emplace(pair_key(p.observer, p.subject), &p);
+  }
 
   // Detection / completeness: a crash is detected by a correct observer iff
   // the pair's suspicion interval is still open at the end of the run; its
@@ -229,7 +260,7 @@ RollupSummary summarize_rollup(const std::vector<PairRollup>& pairs,
     for (std::uint32_t i = 0; i < n; ++i) {
       const ProcessId obs{i};
       if (!is_correct(obs)) continue;
-      const auto it = by_key.find(key(obs, c.subject));
+      const auto it = by_key.find(pair_key(obs, c.subject));
       if (it != by_key.end() && it->second->open) {
         const double lat = std::max(
             0.0, to_seconds(it->second->open_since - c.when));

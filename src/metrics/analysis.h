@@ -97,6 +97,9 @@ class Analysis {
  private:
   [[nodiscard]] std::optional<TimePoint> crash_time(ProcessId id) const;
 
+  /// Per id < n: true iff the process never crashed.
+  [[nodiscard]] std::vector<bool> correct_mask() const;
+
   const EventLog& log_;
   std::uint32_t n_;
   TimePoint horizon_;

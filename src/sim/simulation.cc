@@ -26,6 +26,45 @@ void Simulation::release_slot(std::uint32_t slot) {
   --live_;
 }
 
+void Simulation::heap_push(const HeapEntry& e) {
+  // Hole technique: walk the hole up from the new leaf, moving each later
+  // parent down into it, and write `e` once where it stops.
+  std::size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(e, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = e;
+}
+
+void Simulation::heap_pop() {
+  assert(!heap_.empty());
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return;
+  // Sift the old last leaf down from the root: at each level promote the
+  // earliest of up to kArity children into the hole while it precedes
+  // `last`.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= size) break;
+    const std::size_t end = first + kArity < size ? first + kArity : size;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], last)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
+}
+
 bool Simulation::cancel(EventId id) {
   if (id == kNoEvent) return false;
   const auto slot_plus_one = static_cast<std::uint32_t>(id & 0xffffffffu);
@@ -42,23 +81,22 @@ bool Simulation::cancel(EventId id) {
 }
 
 TimePoint Simulation::next_event_time() {
-  while (!heap_.empty() &&
-         nodes_[heap_.top().slot].generation != heap_.top().generation) {
-    heap_.pop();  // cancelled event's residue
+  while (!heap_.empty() && top_is_stale()) {
+    heap_pop();  // cancelled event's residue
   }
-  return heap_.empty() ? kTimeMax : heap_.top().when;
+  return heap_.empty() ? kTimeMax : heap_.front().when;
 }
 
 void Simulation::run_until(TimePoint deadline) {
   stop_requested_ = false;
   while (!heap_.empty() && !stop_requested_) {
-    const HeapEntry top = heap_.top();
-    if (nodes_[top.slot].generation != top.generation) {
-      heap_.pop();  // cancelled event's residue
+    if (top_is_stale()) {
+      heap_pop();  // cancelled event's residue
       continue;
     }
+    const HeapEntry top = heap_.front();
     if (top.when > deadline) break;
-    heap_.pop();
+    heap_pop();
     // Move the callable out and recycle the slot *before* invoking, so the
     // callback can schedule (and even cancel) freely; its own id is already
     // stale by the time it runs.

@@ -6,6 +6,17 @@
 //   * Determinism: events with equal timestamps fire in scheduling order
 //     (stable (time, seq) heap ordering), all randomness flows through
 //     seeded Xoshiro streams, so a run is a pure function of its seed.
+//   * Event heap: an implicit 4-ary min-heap keyed on (time, seq) in one
+//     vector. seq is unique, so the key is a strict total order and the
+//     firing sequence does not depend on the heap's shape. Four children
+//     per node halve the depth of a binary heap (log4 vs log2 levels) and
+//     sit side by side (96 bytes, at most two cache lines), so a pop's
+//     sift-down — the hot path of a deep queue whose entries arrive at
+//     random future times — visits half as many levels for one more
+//     comparison per level. Children of index i sit at 4i+1 .. 4i+4, the
+//     parent at (i-1)/4.
+//     Cancellation is lazy: cancel() only bumps the slot's generation and
+//     the stale entry is dropped when it reaches the top.
 //   * Cancelability: schedule() returns a generation-checked EventId which
 //     can be cancelled; cancelling a fired/cancelled/unknown id is a false
 //     no-op.
@@ -22,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -174,7 +184,7 @@ class Simulation {
     // seq_ is a pure scheduling counter (not reused on recycle): equal
     // timestamps fire in scheduling order, which is what makes a run a pure
     // function of its seed.
-    heap_.push(HeapEntry{when, next_seq_++, slot, node.generation});
+    heap_push(HeapEntry{when, next_seq_++, slot, node.generation});
     return pack(slot, node.generation);
   }
 
@@ -183,9 +193,11 @@ class Simulation {
   /// `false` no-op (the generation check catches recycled slots too).
   bool cancel(EventId id);
 
-  /// Runs until the event queue is empty or `deadline` is reached, whichever
-  /// comes first. Time advances to the deadline if events run dry earlier?
-  /// No — time stops at the last fired event; the deadline only bounds it.
+  /// Fires every pending event whose time is <= `deadline`, in (time, seq)
+  /// order, then advances now() to `deadline` even when the queue ran dry
+  /// earlier, so consecutive run_for() calls compose. Two exceptions leave
+  /// now() at the last fired event: a stop() during the run, and the
+  /// run_all() deadline kTimeMax, which is a sentinel, not a time.
   void run_until(TimePoint deadline);
 
   /// Runs for `d` of virtual time from now().
@@ -232,12 +244,13 @@ class Simulation {
     std::uint32_t slot;
     std::uint32_t generation;
   };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;  // stable FIFO among equal timestamps
-    }
-  };
+  /// Heap order: earlier time first, then scheduling order (stable FIFO
+  /// among equal timestamps).
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+  static constexpr std::size_t kArity = 4;
 
   static constexpr EventId pack(std::uint32_t slot, std::uint32_t generation) {
     // +1 keeps kNoEvent (0) unreachable.
@@ -250,12 +263,22 @@ class Simulation {
   /// Disarms `slot`: bumps the generation, drops the callable, recycles.
   void release_slot(std::uint32_t slot);
 
+  /// Inserts `e` (sift-up from the new leaf).
+  void heap_push(const HeapEntry& e);
+  /// Removes heap_.front() (the last leaf sifts down from the root).
+  void heap_pop();
+  /// True iff the top entry belongs to a cancelled event.
+  [[nodiscard]] bool top_is_stale() const {
+    const HeapEntry& top = heap_.front();
+    return nodes_[top.slot].generation != top.generation;
+  }
+
   TimePoint now_{kTimeZero};
   std::uint64_t next_seq_{1};
   std::uint64_t events_fired_{0};
   std::size_t live_{0};
   bool stop_requested_{false};
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap_;
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap under before()
   std::vector<Node> nodes_;
   std::uint32_t free_head_{kNilSlot};
 };

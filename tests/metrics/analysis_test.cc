@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "metrics/table.h"
 #include "sim/simulation.h"
 
@@ -142,6 +148,98 @@ TEST(Analysis, FalseSuspicionSeriesStepsUpAndDown) {
   EXPECT_EQ(series[0].active, 2);
   EXPECT_EQ(series[1].active, 1);
   EXPECT_EQ(series[2].active, 0);
+}
+
+// The std::map interval scan false_suspicions() used before it moved to a
+// hash keyed on (observer, subject): closed intervals in log order, then the
+// still-open ones in (observer, subject) order, then the same sort.
+std::vector<FalseSuspicion> reference_false_suspicions(const EventLog& log,
+                                                       const Analysis& a) {
+  const auto correct = a.correct();
+  const auto is_correct = [&](ProcessId id) {
+    return std::binary_search(correct.begin(), correct.end(), id);
+  };
+  std::vector<FalseSuspicion> out;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, TimePoint> open;
+  for (const auto& e : log.events()) {
+    if (!is_correct(e.subject) || !is_correct(e.observer)) continue;
+    const auto key = std::make_pair(e.observer.value, e.subject.value);
+    if (e.kind == SuspicionEventKind::kSuspected) {
+      open.emplace(key, e.when);
+    } else if (auto it = open.find(key); it != open.end()) {
+      out.push_back(FalseSuspicion{e.observer, e.subject, it->second, e.when});
+      open.erase(it);
+    }
+  }
+  for (const auto& [key, start] : open) {
+    out.push_back(FalseSuspicion{ProcessId{key.first}, ProcessId{key.second},
+                                 start, std::nullopt});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const FalseSuspicion& a, const FalseSuspicion& b) {
+              return a.suspected_at < b.suspected_at;
+            });
+  return out;
+}
+
+TEST(Analysis, FalseSuspicionsMatchReferenceScanOnRandomLogs) {
+  // Coarse timestamps put many intervals on one start time, so the output
+  // order among ties is checked too; ids >= n, repeated suspicions and
+  // clears of closed pairs are all in the mix.
+  constexpr std::uint32_t kN = 7;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    LogBuilder b;
+    for (int step = 1; step <= 400; ++step) {
+      b.at(from_millis(static_cast<double>(step / 8)));
+      const auto obs = static_cast<std::uint32_t>(rng.next_below(kN + 1));
+      const auto subj = static_cast<std::uint32_t>(rng.next_below(kN + 1));
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 55) {
+        b.suspect(obs, subj);
+      } else if (r < 98) {
+        b.clear(obs, subj);
+      } else {
+        b.crash(subj);
+      }
+    }
+    const Analysis a(b.log(), kN, from_seconds(1));
+    const auto got = a.false_suspicions();
+    const auto want = reference_false_suspicions(b.log(), a);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].observer, want[i].observer) << i;
+      EXPECT_EQ(got[i].subject, want[i].subject) << i;
+      EXPECT_EQ(got[i].suspected_at, want[i].suspected_at) << i;
+      EXPECT_EQ(got[i].cleared_at, want[i].cleared_at) << i;
+    }
+    // The stabilization instants, derived from the reference list.
+    std::optional<TimePoint> full = kTimeZero;
+    for (const auto& fs : want) {
+      if (!fs.cleared_at) {
+        full.reset();
+        break;
+      }
+      full = std::max(*full, *fs.cleared_at);
+    }
+    EXPECT_EQ(a.full_accuracy_stabilization(), full);
+    std::optional<TimePoint> weak;
+    for (ProcessId p : a.correct()) {
+      TimePoint last = kTimeZero;
+      bool open = false;
+      for (const auto& fs : want) {
+        if (fs.subject != p) continue;
+        if (!fs.cleared_at) {
+          open = true;
+        } else {
+          last = std::max(last, *fs.cleared_at);
+        }
+      }
+      if (!open && (!weak || last < *weak)) weak = last;
+    }
+    EXPECT_EQ(a.accuracy_stabilization(), weak);
+  }
 }
 
 TEST(Table, AlignedOutputContainsHeadersAndCells) {
