@@ -1,7 +1,16 @@
 #include "exp_common.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
 #include <variant>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/utsname.h>
+#define MMRFD_HAVE_UNAME 1
+#else
+#define MMRFD_HAVE_UNAME 0
+#endif
 
 namespace mmrfd::bench {
 
@@ -222,6 +231,26 @@ RunMetrics run_detector(const std::string& name, const Workload& w) {
 
 void append_samples(SampleSet& into, const SampleSet& from) {
   for (double x : from.samples()) into.add(x);
+}
+
+std::string host_json() {
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string kernel = "unknown";
+#if MMRFD_HAVE_UNAME
+  if (utsname u{}; uname(&u) == 0) {
+    kernel = std::string(u.sysname) + " " + u.release;
+  }
+#endif
+  return "{\"nproc\": " + std::to_string(nproc) + ", \"compiler\": \"" +
+         compiler + "\", \"build_type\": \"" MMRFD_BUILD_TYPE
+         "\", \"kernel\": \"" + kernel + "\"}";
 }
 
 }  // namespace mmrfd::bench

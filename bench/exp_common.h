@@ -103,4 +103,10 @@ RunMetrics run_detector(const std::string& name, const Workload& w);
 /// Merges per-seed SampleSets: convenience for seed-averaged tables.
 void append_samples(SampleSet& into, const SampleSet& from);
 
+/// The machine a run is on, as the JSON object that exp_scale and exp_live
+/// write as their file's `host` block (nproc, compiler, build_type,
+/// kernel), so scripts/check_bench.py compares rows only between like
+/// hosts.
+[[nodiscard]] std::string host_json();
+
 }  // namespace mmrfd::bench

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/argparse.h"
+#include "exp_common.h"
 #include "live/supervisor.h"
 #include "metrics/table.h"
 #include "runtime/crash_plan.h"
@@ -102,7 +103,8 @@ struct LiveResult {
     return false;
   }
   os << "{\n  \"experiment\": \"exp_live\",\n  \"unit\": {\"processes\": "
-        "\"real OS processes over loopback UDP\"},\n  \"results\": [";
+        "\"real OS processes over loopback UDP\"},\n  \"host\": "
+     << bench::host_json() << ",\n  \"results\": [";
   bool first = true;
   for (const auto& r : results) {
     os << (first ? "\n" : ",\n");

@@ -32,7 +32,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MMRFD_HAVE_FORK 1
-#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #else
@@ -384,28 +383,6 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
 }
 #endif  // MMRFD_HAVE_FORK
 
-/// The machine a sweep ran on, written as the file's `host` block so
-/// scripts/check_bench.py compares events/sec only between like hosts.
-[[nodiscard]] std::string host_json() {
-  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
-#if defined(__clang__)
-  const std::string compiler = std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  const std::string compiler = std::string("gcc ") + __VERSION__;
-#else
-  const std::string compiler = "unknown";
-#endif
-  std::string kernel = "unknown";
-#if MMRFD_HAVE_FORK
-  if (utsname u{}; uname(&u) == 0) {
-    kernel = std::string(u.sysname) + " " + u.release;
-  }
-#endif
-  return "{\"nproc\": " + std::to_string(nproc) + ", \"compiler\": \"" +
-         compiler + "\", \"build_type\": \"" MMRFD_BUILD_TYPE
-         "\", \"kernel\": \"" + kernel + "\"}";
-}
-
 [[nodiscard]] bool write_json(const std::vector<ScaleResult>& results,
                               const std::string& path) {
   std::ofstream os(path);
@@ -415,7 +392,7 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
   }
   os << "{\n  \"experiment\": \"exp_scale\",\n  \"unit\": {\"events_per_sec\": "
         "\"simulator events fired per wall-clock second\"},\n  \"host\": "
-     << host_json() << ",\n  \"results\": [";
+     << bench::host_json() << ",\n  \"results\": [";
   bool first = true;
   for (const auto& r : results) {
     os << (first ? "\n" : ",\n");

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
 using namespace mmrfd;
@@ -24,20 +23,17 @@ int main() {
   constexpr std::uint16_t kBasePort = 39400;
 
   std::vector<std::unique_ptr<transport::UdpTransport>> sockets;
-  std::vector<std::unique_ptr<transport::TypedTransport>> transports;
   std::vector<std::unique_ptr<transport::RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
     sockets.push_back(std::make_unique<transport::UdpTransport>(
         transport::UdpConfig{ProcessId{i}, kN, kBasePort}));
-    transports.push_back(
-        std::make_unique<transport::TypedTransport>(*sockets[i]));
     transport::RealTimeConfig cfg;
     cfg.detector.self = ProcessId{i};
     cfg.detector.n = kN;
     cfg.detector.f = 1;
     cfg.pacing = from_millis(50);
-    nodes.push_back(std::make_unique<transport::RealTimeDetector>(
-        *transports[i], cfg));
+    nodes.push_back(
+        std::make_unique<transport::RealTimeDetector>(*sockets[i], cfg));
   }
 
   try {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace mmrfd {
 
@@ -88,49 +87,6 @@ double SampleSet::stddev() const {
   double acc = 0.0;
   for (double x : samples_) acc += (x - m) * (x - m);
   return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  const double bucket_width =
-      (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << "[" << bucket_lo(i) << ", " << bucket_lo(i) + bucket_width << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace mmrfd

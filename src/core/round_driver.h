@@ -7,7 +7,8 @@
 //
 //   driver.begin(now);            // core.begin_query() + the send plan
 //   driver.for_each_send(send);   // stamps each kQueryTxSeq, then sends
-//   ... responses go straight to the core ...
+//   ... driver.serve(from, query) answers each query (T2),
+//       driver.accept(from, response) feeds each response to the core ...
 //   if (short of quorum when the host's resend timer fires)
 //     if (driver.plan_resend()) driver.for_each_send(send);
 //   driver.on_quorum(now);        // kQuorum record + round-RTT sample
@@ -22,6 +23,9 @@
 // short of quorum a whole interval later means the skips were wrong.
 // Retransmission over lossy, non-FIFO channels is part of the protocol, not
 // a transport detail, so its policy lives here. Plans reuse their buffers.
+//
+// Every trace record of a round comes from here or from the core, so a
+// simulated and a live node write the same record kinds.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +55,8 @@ class RoundDriver {
   /// `<metric_prefix>.rounds` and `<metric_prefix>.resend_waves` counters
   /// and the `<metric_prefix>.round_rtt_ns` histogram.
   /// `recorder` (may be null) receives the kQueryTxSeq / kResendWave /
-  /// kQuorum causal records.
+  /// kQuorum / kQueryRx / kResponseTxSeq / kResponseRxSeq / kPeerRound
+  /// causal records.
   RoundDriver(Core& core, std::span<const ProcessId> peers,
               obs::MetricsRegistry* registry, std::string_view metric_prefix,
               obs::FlightRecorder* recorder);
@@ -77,6 +82,33 @@ class RoundDriver {
       trace(obs::TraceKind::kQueryTxSeq, s.to.value, round_seq_);
       send(s);
     }
+  }
+
+  /// Answers `query` from `from` (the paper's task T2): records kQueryRx,
+  /// runs the core's query handler and records kResponseTxSeq. Like
+  /// accept(), it touches only the core and the recorder, never the plan,
+  /// so a threaded host calls both from its receive thread under the
+  /// core's lock while its driver thread sends the plan unlocked.
+  ResponseMessage serve(ProcessId from, const QueryMessage& query) {
+    trace(obs::TraceKind::kQueryRx, from.value,
+          static_cast<std::uint32_t>(query.seq));
+    const ResponseMessage response = core_.on_query(from, query);
+    trace(obs::TraceKind::kResponseTxSeq, from.value,
+          static_cast<std::uint32_t>(response.seq));
+    return response;
+  }
+
+  /// Feeds `response` from `from` to the core; true when it completed the
+  /// quorum. Records kResponseRxSeq, plus kPeerRound when the responder
+  /// named its own round (origin_seq != 0).
+  bool accept(ProcessId from, const ResponseMessage& response) {
+    trace(obs::TraceKind::kResponseRxSeq, from.value,
+          static_cast<std::uint32_t>(response.seq));
+    if (response.origin_seq != 0) {
+      trace(obs::TraceKind::kPeerRound, from.value,
+            static_cast<std::uint32_t>(response.origin_seq));
+    }
+    return core_.on_response(from, response);
   }
 
   /// The plan's distinct messages. The host wraps each once and may move

@@ -22,7 +22,6 @@
 #include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
 namespace mmrfd::live {
@@ -204,8 +203,6 @@ int node_main(int argc, const char* const* argv) {
     datagrams = &*faulty_layer;
   }
 
-  transport::TypedTransport typed(*datagrams, &registry);
-
   transport::RealTimeConfig rcfg;
   rcfg.detector.self = ProcessId{self};
   rcfg.detector.n = n;
@@ -219,7 +216,7 @@ int node_main(int argc, const char* const* argv) {
   rcfg.resend = from_millis(static_cast<double>(resend_ms));
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
-  transport::RealTimeDetector detector(typed, rcfg);
+  transport::RealTimeDetector detector(*datagrams, rcfg);
   RecordingObserver observer(origin_ns);
   detector.set_observer(&observer);
 

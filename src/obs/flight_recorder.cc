@@ -28,14 +28,8 @@ std::string_view trace_kind_name(TraceKind kind) {
       return "round_open";
     case TraceKind::kRoundClose:
       return "round_close";
-    case TraceKind::kQueryTx:
-      return "query_tx";
     case TraceKind::kQueryRx:
       return "query_rx";
-    case TraceKind::kResponseTx:
-      return "response_tx";
-    case TraceKind::kResponseRx:
-      return "response_rx";
     case TraceKind::kSuspectAdd:
       return "suspect_add";
     case TraceKind::kSuspectDrop:

@@ -34,31 +34,29 @@ TraceClock wall_trace_clock();
 enum class TraceKind : std::uint8_t {
   kRoundOpen = 1,    // a = round seq
   kRoundClose = 2,   // a = round seq, b = |suspected|
-  kQueryTx = 3,      // a = peer, b = encoded bytes
-  kQueryRx = 4,      // a = peer, b = query seq
-  kResponseTx = 5,   // a = peer, b = need_full (0/1)
-  kResponseRx = 6,   // a = peer, b = need_full (0/1)
-  kSuspectAdd = 7,   // a = subject, b = low 32 bits of tag
-  kSuspectDrop = 8,  // a = subject, b = low 32 bits of tag
-  kNeedFullTx = 9,   // a = peer (we could not decode their delta)
-  kNeedFullRx = 10,  // a = peer (they could not decode ours)
-  kResync = 11,      // a = journal epoch at reset
-  kGiveUpSkip = 12,  // a = peer skipped this round
-  kResendWave = 13,  // a = wave number, b = silent peer count
+  kQueryRx = 3,      // a = peer, b = query seq
+  kSuspectAdd = 4,   // a = subject, b = low 32 bits of tag
+  kSuspectDrop = 5,  // a = subject, b = low 32 bits of tag
+  kNeedFullTx = 6,   // a = peer (we could not decode their delta)
+  kNeedFullRx = 7,   // a = peer (they could not decode ours)
+  kResync = 8,       // a = journal epoch at reset
+  kGiveUpSkip = 9,   // a = peer skipped this round
+  kResendWave = 10,  // a = wave number, b = silent peer count
 
-  // Causal-tracing kinds (PR 10): these name the *remote* event a local
-  // record was caused by, so the TraceAssembler can stitch per-node rings
-  // into one cross-node happened-before graph.
-  kQuorum = 14,         // a = round seq (low 32), b = responders at quorum
-  kQueryTxSeq = 15,     // a = peer, b = our round seq (low 32)
-  kResponseTxSeq = 16,  // a = peer, b = echoed query seq (low 32)
-  kResponseRxSeq = 17,  // a = peer, b = echoed query seq (low 32)
-  kPeerRound = 18,      // a = peer, b = peer's own round seq off the wire
+  // Causal-tracing kinds: these name the *remote* event a local record was
+  // caused by, so the TraceAssembler can stitch per-node rings into one
+  // cross-node happened-before graph.
+  kQuorum = 11,         // a = round seq (low 32), b = responders at quorum
+  kQueryTxSeq = 12,     // a = peer, b = our round seq (low 32)
+  kResponseTxSeq = 13,  // a = peer, b = echoed query seq (low 32)
+  kResponseRxSeq = 14,  // a = peer, b = echoed query seq (low 32)
+  kPeerRound = 15,      // a = peer, b = peer's own round seq off the wire
 };
 
-// Largest valid TraceKind value; anything outside [1, kMaxTraceKind] in a
-// loaded dump is a torn or corrupt record and gets dropped.
-inline constexpr std::uint8_t kMaxTraceKind = 18;
+// Largest valid TraceKind value; kinds are numbered densely, so anything
+// outside [1, kMaxTraceKind] in a loaded dump is a torn or corrupt record
+// and gets dropped.
+inline constexpr std::uint8_t kMaxTraceKind = 15;
 
 std::string_view trace_kind_name(TraceKind kind);
 
@@ -104,7 +102,7 @@ class FlightRecorder {
   // handlers, where a concurrently-writing recorder may leave one torn
   // record in the ring; the loader drops records whose kind falls outside
   // [1, kMaxTraceKind]. Layout (little-endian):
-  //   8-byte magic "MMRTRCB1", u64 total, u64 capacity,
+  //   8-byte magic "MMRTRCB2", u64 total, u64 capacity,
   //   capacity x { u64 t_ns, u64 seq, u32 a, u32 b, u8 kind }
   // Returns false if any write(2) fails.
   bool dump_binary_fd(int fd) const noexcept;
@@ -112,9 +110,11 @@ class FlightRecorder {
   // a quiescent recorder outside the signal path (tests, shutdown).
   bool dump_binary_to_file(const std::string& path) const;
 
-  // First bytes of every binary dump, so loaders can sniff the format.
+  // First bytes of every binary dump, so loaders can sniff the format. The
+  // last byte names the TraceKind numbering: a dump written under another
+  // numbering is rejected rather than misread.
   static constexpr char kBinaryMagic[8] = {'M', 'M', 'R', 'T',
-                                           'R', 'C', 'B', '1'};
+                                           'R', 'C', 'B', '2'};
 
  private:
   mutable std::mutex mutex_;

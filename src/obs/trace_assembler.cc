@@ -257,7 +257,6 @@ AssembledTrace TraceAssembler::assemble() const {
         if (r.a != victim) continue;
         const std::int64_t t = align(node, r.t_ns);
         if (r.kind == TraceKind::kQueryRx ||
-            r.kind == TraceKind::kResponseRx ||
             r.kind == TraceKind::kResponseRxSeq) {
           if (!timeline.last_heard_ns || t > *timeline.last_heard_ns) {
             timeline.last_heard_ns = t;
@@ -462,10 +461,15 @@ std::optional<std::vector<TraceRecord>> load_trace_records(
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string data = buf.str();
-  if (data.size() >= sizeof(FlightRecorder::kBinaryMagic) &&
-      data.compare(0, sizeof(FlightRecorder::kBinaryMagic),
-                   FlightRecorder::kBinaryMagic,
-                   sizeof(FlightRecorder::kBinaryMagic)) == 0) {
+  constexpr std::size_t kMagic = sizeof(FlightRecorder::kBinaryMagic);
+  if (data.size() >= kMagic &&
+      data.compare(0, kMagic - 1, FlightRecorder::kBinaryMagic,
+                   kMagic - 1) == 0) {
+    // Binary, but possibly under another TraceKind numbering (the version
+    // byte): reject it rather than misread its kinds.
+    if (data[kMagic - 1] != FlightRecorder::kBinaryMagic[kMagic - 1]) {
+      return std::nullopt;
+    }
     return load_binary(data);
   }
   return load_text(data);

@@ -140,7 +140,8 @@ class TraceAssembler {
 /// Loads a `.trace` dump, sniffing the format: binary (kBinaryMagic, as
 /// written by the fatal-signal handler) or text (dump_text lines). Torn or
 /// corrupt binary records are dropped; nullopt = unreadable file / bad
-/// header. Records come back seq-ordered.
+/// header, including a binary dump of another kind numbering (another
+/// version byte after the magic's "MMRTRCB"). Records come back seq-ordered.
 std::optional<std::vector<TraceRecord>> load_trace_records(
     const std::string& path);
 

@@ -48,6 +48,30 @@ void apply_fault_knobs(MmrNetwork& net, const MmrClusterConfig& config) {
   }
 }
 
+std::vector<MmrHostConfig> mmr_host_configs(const MmrClusterConfig& config) {
+  Xoshiro256 stagger_rng(derive_seed(config.seed, "cluster.stagger"));
+  std::vector<MmrHostConfig> configs(config.n);
+  for (std::uint32_t i = 0; i < config.n; ++i) {
+    MmrHostConfig& hc = configs[i];
+    hc.detector.self = ProcessId{i};
+    hc.detector.n = config.n;
+    hc.detector.f = config.f;
+    hc.detector.accept_late_responses = config.accept_late_responses;
+    hc.detector.extra_quorum = config.extra_quorum;
+    hc.detector.delta_queries = config.delta_queries;
+    hc.detector.giveup_rounds = config.giveup_rounds;
+    hc.detector.resync_interval = config.resync_interval;
+    hc.pacing = config.pacing;
+    hc.pacing_jitter = config.pacing_jitter;
+    hc.jitter_seed = config.seed;
+    // Desynchronize the first queries across [0, pacing).
+    hc.initial_delay = Duration(static_cast<Duration::rep>(
+        stagger_rng.next_double() *
+        static_cast<double>(config.pacing.count())));
+  }
+  return configs;
+}
+
 MmrCluster::MmrCluster(const MmrClusterConfig& config)
     : config_(config),
       net_(std::make_unique<MmrNetwork>(sim_, net::Topology::full(config.n),
@@ -56,25 +80,10 @@ MmrCluster::MmrCluster(const MmrClusterConfig& config)
       recorder_(config.n) {
   assert(config_.f < config_.n);
   apply_fault_knobs(*net_, config_);
-  Xoshiro256 stagger_rng(derive_seed(config_.seed, "cluster.stagger"));
+  std::vector<MmrHostConfig> configs = mmr_host_configs(config_);
   hosts_.reserve(config_.n);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    MmrHostConfig hc;
-    hc.detector.self = ProcessId{i};
-    hc.detector.n = config_.n;
-    hc.detector.f = config_.f;
-    hc.detector.accept_late_responses = config_.accept_late_responses;
-    hc.detector.extra_quorum = config_.extra_quorum;
-    hc.detector.delta_queries = config_.delta_queries;
-    hc.detector.giveup_rounds = config_.giveup_rounds;
-    hc.detector.resync_interval = config_.resync_interval;
-    hc.pacing = config_.pacing;
-    hc.pacing_jitter = config_.pacing_jitter;
-    hc.jitter_seed = config_.seed;
-    // Desynchronize the first queries across [0, pacing).
-    hc.initial_delay = Duration(static_cast<Duration::rep>(
-        stagger_rng.next_double() *
-        static_cast<double>(config_.pacing.count())));
+    MmrHostConfig& hc = configs[i];
     hc.registry = config_.registry;
     if (config_.trace_capacity > 0) {
       traces_.push_back(std::make_unique<obs::FlightRecorder>(

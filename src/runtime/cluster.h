@@ -118,6 +118,13 @@ std::unique_ptr<net::DelayModel> build_mmr_delays(
 /// sharded clusters (the sharded one calls it once per shard network).
 void apply_fault_knobs(MmrNetwork& net, const MmrClusterConfig& config);
 
+/// Every host's configuration, indexed by id: the config's detector knobs,
+/// pacing and jitter seed, and a first-query offset in [0, pacing) drawn
+/// from one sequential stagger stream in id order. registry and recorder
+/// are left null for the caller. Shared by the serial and sharded clusters,
+/// so both deployments start from identical host configurations.
+std::vector<MmrHostConfig> mmr_host_configs(const MmrClusterConfig& config);
+
 class MmrCluster {
  public:
   explicit MmrCluster(const MmrClusterConfig& config);

@@ -41,15 +41,14 @@ SimHost<Core, Config>::SimHost(sim::Simulation& simulation,
       config_(config),
       core_(config.detector),
       recorder_(recorder),
-      trace_(extras_of(config).recorder),
       driver_(core_, net_.topology().neighbors(config.detector.self),
-              extras_of(config).registry, "sim", trace_),
+              extras_of(config).registry, "sim", extras_of(config).recorder),
       jitter_rng_(derive_seed(extras_of(config).jitter_seed, "host.jitter",
                               config.detector.self.value)),
       pacing_jitter_(extras_of(config).pacing_jitter) {
   assert(pacing_jitter_ >= 0.0 && pacing_jitter_ < 1.0);
-  if constexpr (requires { core_.set_recorder(trace_); }) {
-    core_.set_recorder(trace_);
+  if constexpr (requires { core_.set_recorder(nullptr); }) {
+    core_.set_recorder(extras_of(config).recorder);
   }
   core_.set_observer(observer);
   net_.set_handler(id(), [this](ProcessId from, const MmrMessage& msg) {
@@ -123,20 +122,9 @@ template <typename Core, typename Config>
 void SimHost<Core, Config>::handle(ProcessId from, const MmrMessage& msg) {
   if (crashed_) return;
   if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
-    trace(obs::TraceKind::kQueryRx, from.value,
-          static_cast<std::uint32_t>(q->seq));
-    const core::ResponseMessage r = core_.on_query(from, *q);
-    trace(obs::TraceKind::kResponseTxSeq, from.value,
-          static_cast<std::uint32_t>(r.seq));
-    net_.send(id(), from, MmrMessage{r});
+    net_.send(id(), from, MmrMessage{driver_.serve(from, *q)});
   } else if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
-    trace(obs::TraceKind::kResponseRxSeq, from.value,
-          static_cast<std::uint32_t>(r->seq));
-    if (r->origin_seq != 0) {
-      trace(obs::TraceKind::kPeerRound, from.value,
-            static_cast<std::uint32_t>(r->origin_seq));
-    }
-    if (core_.on_response(from, *r)) on_terminated();
+    if (driver_.accept(from, *r)) on_terminated();
   }
 }
 

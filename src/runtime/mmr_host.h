@@ -51,8 +51,8 @@ struct MmrHostConfig {
   /// Collection is pure observation — now() reads, no RNG draws, no event
   /// scheduling — so fixed-seed schedules are untouched. Null = off.
   obs::MetricsRegistry* registry{nullptr};
-  /// Optional flight recorder forwarded to the core (round/suspicion/
-  /// resync traces under sim time). Null = off.
+  /// Optional flight recorder for the core's and the round driver's trace
+  /// records, stamped in sim time. Null = off.
   obs::FlightRecorder* recorder{nullptr};
 };
 
@@ -85,9 +85,6 @@ class SimHost {
   void begin_round();
   void on_terminated();
   void handle(ProcessId from, const MmrMessage& msg);
-  void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
-    if (trace_ != nullptr) trace_->record(kind, a, b);
-  }
 
   [[nodiscard]] Duration next_pacing();
 
@@ -96,7 +93,6 @@ class SimHost {
   Config config_;
   Core core_;
   core::PropertyRecorder* recorder_;
-  obs::FlightRecorder* trace_{nullptr};
   core::RoundDriver<Core> driver_;
   Xoshiro256 jitter_rng_;
   double pacing_jitter_{0.0};

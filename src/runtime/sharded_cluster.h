@@ -16,11 +16,11 @@
 //     min_delay() bound — guarantees the destination shard has not advanced
 //     past it.
 //
-// Semantics vs MmrCluster: protocol-equivalent, not bit-identical. Host
-// stagger and per-host jitter seeds replicate the serial construction
-// exactly, but delay/loss streams are per-shard (a shard cannot share an
-// RNG with another thread), so individual message delays differ from the
-// serial run. tests/sim/engine_equivalence_test.cc pins the protocol-level
+// Semantics vs MmrCluster: protocol-equivalent, not bit-identical. Both
+// build their hosts from mmr_host_configs(), so stagger and per-host jitter
+// seeds are the serial ones, but delay/loss streams are per-shard (a shard
+// cannot share an RNG with another thread), so individual message delays
+// differ from the serial run. tests/sim/engine_equivalence_test.cc pins the protocol-level
 // agreement. For a fixed (seed, shards) pair a run is fully deterministic.
 //
 // Not carried over from MmrCluster: the PropertyRecorder (MP checking needs

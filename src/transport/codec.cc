@@ -209,17 +209,27 @@ std::size_t wire_size(const core::ResponseMessage& m) {
 }
 
 std::vector<std::uint8_t> encode_envelope(ProcessId sender,
-                                          const WireMessage& m) {
+                                          const core::QueryMessage& m) {
   Encoder e;
   e.u32(sender.value);
-  if (const auto* q = std::get_if<core::QueryMessage>(&m)) {
-    e.u8(kTypeQuery);
-    encode(e, *q);
-  } else {
-    e.u8(kTypeResponse);
-    encode(e, std::get<core::ResponseMessage>(m));
-  }
+  e.u8(kTypeQuery);
+  encode(e, m);
   return e.take();
+}
+
+std::vector<std::uint8_t> encode_envelope(ProcessId sender,
+                                          const core::ResponseMessage& m) {
+  Encoder e;
+  e.u32(sender.value);
+  e.u8(kTypeResponse);
+  encode(e, m);
+  return e.take();
+}
+
+std::vector<std::uint8_t> encode_envelope(ProcessId sender,
+                                          const WireMessage& m) {
+  return std::visit(
+      [sender](const auto& msg) { return encode_envelope(sender, msg); }, m);
 }
 
 std::optional<DecodedEnvelope> decode_envelope(

@@ -14,8 +14,10 @@
 // integer. Response payload:
 //   [u64 seq][u8 flags][uvarint ack_epoch if flags&kHasAck]
 //   [uvarint origin_seq if flags&kHasOrigin]
-// origin_seq is the causal-tracing context (the responder's own round
-// sequence); only the live path sets it, so simulator bytes are unchanged.
+// origin_seq is the responder's own round sequence when it answered; only
+// the live path sets it (simulator bytes are unchanged). The querier turns
+// it into a kPeerRound trace record, which only `mmrfd-trace timeline`
+// shows; the trace assembler never reads it.
 // Epoch fields are LEB128 varints (epochs count state changes — small for
 // most of a run, so the delta header costs single-digit bytes). Decoding is
 // total: malformed input yields nullopt, never UB.
@@ -84,6 +86,10 @@ void encode(Encoder& e, const core::ResponseMessage& m);
 
 using WireMessage = std::variant<core::QueryMessage, core::ResponseMessage>;
 
+[[nodiscard]] std::vector<std::uint8_t> encode_envelope(
+    ProcessId sender, const core::QueryMessage& m);
+[[nodiscard]] std::vector<std::uint8_t> encode_envelope(
+    ProcessId sender, const core::ResponseMessage& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_envelope(ProcessId sender,
                                                         const WireMessage& m);
 struct DecodedEnvelope {

@@ -2,9 +2,9 @@
 //
 // The transport stack is layered like a production system's:
 //
-//   RealTimeDetector                (protocol driver)
-//        │ WireMessage (typed)
-//   TypedTransport                  (codec: envelope encode/decode)
+//   RealTimeDetector                (protocol driver + envelope codec:
+//        │                           encodes each plan payload once,
+//        │                           decodes and vets every datagram)
 //        │ datagrams (bytes)
 //   [FaultyTransport]               (optional: adversarial channel)
 //        │ datagrams (bytes)

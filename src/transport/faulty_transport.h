@@ -1,8 +1,9 @@
 // FaultyTransport — an adversarial-channel decorator for any
 // DatagramTransport: the live-path sibling of net::Network's fault knobs.
 //
-// Inserted below TypedTransport (so the codec is fed malformed bytes and the
-// detector's resend waves face real loss), it perturbs outgoing datagrams:
+// Inserted between UdpTransport and RealTimeDetector (so the detector's
+// envelope decoding is fed malformed bytes and its resend waves face real
+// loss), it perturbs outgoing datagrams:
 //
 //   * drop        — the datagram never hits the wire;
 //   * duplicate   — sent twice back-to-back;

@@ -1,8 +1,10 @@
 #include "transport/realtime_detector.h"
 
 #include <chrono>
-#include <utility>
+#include <variant>
 #include <vector>
+
+#include "transport/codec.h"
 
 namespace mmrfd::transport {
 
@@ -23,7 +25,7 @@ TimePoint steady_now() {
 
 }  // namespace
 
-RealTimeDetector::RealTimeDetector(Transport& transport,
+RealTimeDetector::RealTimeDetector(DatagramTransport& transport,
                                    const RealTimeConfig& config)
     : transport_(transport),
       config_(config),
@@ -34,9 +36,9 @@ RealTimeDetector::RealTimeDetector(Transport& transport,
                         : nullptr),
       registry_(config.registry != nullptr ? config.registry
                                            : own_registry_.get()),
-      recorder_(config.recorder),
-      round_driver_(core_, peers_, registry_, "rt", recorder_) {
+      round_driver_(core_, peers_, registry_, "rt", config.recorder) {
   obs::MetricsRegistry& reg = *registry_;
+  malformed_ = &reg.counter("codec.malformed");
   full_queries_sent_ = &reg.counter("rt.full_queries_sent");
   delta_queries_sent_ = &reg.counter("rt.delta_queries_sent");
   queries_received_ = &reg.counter("rt.queries_received");
@@ -47,8 +49,8 @@ RealTimeDetector::RealTimeDetector(Transport& transport,
   query_bytes_sent_ = &reg.counter("rt.query_bytes_sent");
   response_bytes_sent_ = &reg.counter("rt.response_bytes_sent");
   core_.set_recorder(config.recorder);
-  transport_.set_handler([this](ProcessId from, const WireMessage& msg) {
-    on_datagram(from, msg);
+  transport_.set_handler([this](std::span<const std::uint8_t> datagram) {
+    on_datagram(datagram);
   });
 }
 
@@ -125,60 +127,54 @@ void RealTimeDetector::driver_loop() {
 }
 
 void RealTimeDetector::send_plan() {
-  payloads_.clear();
-  payload_bytes_.clear();
-  for (core::QueryMessage& q : round_driver_.payloads()) {
-    payload_bytes_.push_back(static_cast<std::uint32_t>(wire_size(q)));
-    payloads_.emplace_back(std::move(q));
+  const std::span<const core::QueryMessage> payloads =
+      round_driver_.payloads();
+  encoded_.resize(payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    encoded_[i] = encode_envelope(config_.detector.self, payloads[i]);
   }
-  // Each peer's tx records are stamped immediately before its own send(),
+  // Each peer's kQueryTxSeq is stamped immediately before its own send(),
   // so a fast receiver cannot log its rx ahead of our tx.
-  round_driver_.for_each_send([this](const core::QuerySend& s) {
-    const WireMessage& msg = payloads_[s.payload];
-    const std::uint32_t bytes = payload_bytes_[s.payload];
-    const bool delta = std::get<core::QueryMessage>(msg).is_delta();
-    (delta ? delta_queries_sent_ : full_queries_sent_)->add(1);
-    query_bytes_sent_->add(bytes);
-    trace(obs::TraceKind::kQueryTx, s.to.value, bytes);
-    transport_.send(s.to, msg);
+  round_driver_.for_each_send([&](const core::QuerySend& s) {
+    const std::vector<std::uint8_t>& datagram = encoded_[s.payload];
+    (payloads[s.payload].is_delta() ? delta_queries_sent_ : full_queries_sent_)
+        ->add(1);
+    query_bytes_sent_->add(datagram.size());
+    transport_.send(s.to, datagram);
   });
 }
 
-void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
-  if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
+void RealTimeDetector::on_datagram(std::span<const std::uint8_t> datagram) {
+  auto decoded = decode_envelope(datagram);
+  if (!decoded || decoded->sender.value >= config_.detector.n) {
+    malformed_->add(1);
+    return;
+  }
+  const ProcessId from = decoded->sender;
+  if (const auto* q = std::get_if<core::QueryMessage>(&decoded->message)) {
     queries_received_->add(1);
-    trace(obs::TraceKind::kQueryRx, from.value,
-          static_cast<std::uint32_t>(q->seq));
     core::ResponseMessage response;
     {
       std::lock_guard lock(mutex_);
-      response = core_.on_query(from, *q);
-      // Piggyback the causal context: our own current round sequence, so
-      // the querier's rx record can name the remote round it overlapped.
+      response = round_driver_.serve(from, *q);
+      // Piggyback our own current round sequence, so the querier's
+      // kPeerRound record can name the remote round it overlapped.
       response.origin_seq = core_.query_seq();
     }
     if (response.need_full) need_full_sent_->add(1);
+    const std::vector<std::uint8_t> reply =
+        encode_envelope(config_.detector.self, response);
     responses_sent_->add(1);
-    response_bytes_sent_->add(wire_size(response));
-    trace(obs::TraceKind::kResponseTx, from.value,
-          response.need_full ? 1 : 0);
-    trace(obs::TraceKind::kResponseTxSeq, from.value,
-          static_cast<std::uint32_t>(response.seq));
-    transport_.send(from, WireMessage{response});
-  } else if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
+    response_bytes_sent_->add(reply.size());
+    transport_.send(from, reply);
+  } else {
+    const auto& r = std::get<core::ResponseMessage>(decoded->message);
     responses_received_->add(1);
-    if (r->need_full) need_full_received_->add(1);
-    trace(obs::TraceKind::kResponseRx, from.value, r->need_full ? 1 : 0);
-    trace(obs::TraceKind::kResponseRxSeq, from.value,
-          static_cast<std::uint32_t>(r->seq));
-    if (r->origin_seq != 0) {
-      trace(obs::TraceKind::kPeerRound, from.value,
-            static_cast<std::uint32_t>(r->origin_seq));
-    }
+    if (r.need_full) need_full_received_->add(1);
     bool terminated = false;
     {
       std::lock_guard lock(mutex_);
-      terminated = core_.on_response(from, *r);
+      terminated = round_driver_.accept(from, r);
     }
     if (terminated) quorum_cv_.notify_all();
   }

@@ -1,21 +1,24 @@
 // RealTimeDetector — the DetectorCore driven by wall-clock pacing over a
-// real Transport (UDP or in-memory threads). The production-facing face of
-// the library: the exact state machine verified under simulation, bound to
-// sockets and threads. Round policy is core::RoundDriver's, shared with the
-// simulator; this adapter owns the wall clock, the transport, the lock and
-// the resend timer.
+// real datagram transport (UDP or in-memory threads). The production-facing
+// face of the library: the exact state machine verified under simulation,
+// bound to sockets and threads. Round policy and query serving are
+// core::RoundDriver's, shared with the simulator; this adapter owns the
+// wall clock, the envelope codec, the transport, the lock and the resend
+// timer.
 //
 // Threading model: one driver thread runs the query loop (send the plan,
 // wait for quorum on a condition variable, pace, finish round); the
-// transport's receive thread funnels into on_datagram(). A single mutex
-// guards the core — its per-event work is microseconds (see
-// bench/micro_core), far below any contention concern at protocol rates.
+// transport's receive thread funnels into on_datagram(), which decodes the
+// envelope and hands it to the driver. A single mutex guards the core — its
+// per-event work is microseconds (see bench/micro_core), far below any
+// contention concern at protocol rates.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -23,7 +26,7 @@
 #include "core/round_driver.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "transport/transport.h"
+#include "transport/datagram.h"
 
 namespace mmrfd::transport {
 
@@ -40,21 +43,24 @@ struct RealTimeConfig {
   /// seq; responders are deduplicated) and carries no failure judgement —
   /// this is retransmission, not a timeout.
   Duration resend{from_millis(500)};
-  /// Shared metrics registry for the rt.* instruments; the detector owns a
-  /// private one when null. Sharing one registry across the node's whole
-  /// stack gives the report writer a single snapshot to embed. Query and
-  /// response bytes are the encoded datagrams handed to the transport,
-  /// resend-wave copies included, so directly over UdpTransport they sum
-  /// to udp.bytes_sent.
+  /// Shared metrics registry for the rt.* and codec.* instruments; the
+  /// detector owns a private one when null. Sharing one registry across the
+  /// node's whole stack gives the report writer a single snapshot to embed.
+  /// Query and response bytes are the encoded datagrams handed to the
+  /// transport, resend-wave copies included, so directly over UdpTransport
+  /// they sum to udp.bytes_sent.
   obs::MetricsRegistry* registry{nullptr};
-  /// Flight recorder for query/response/resend traces, forwarded to the
-  /// core for its round/suspicion records too (may be null).
+  /// Flight recorder for the round driver's and the core's trace records
+  /// (may be null).
   obs::FlightRecorder* recorder{nullptr};
 };
 
 class RealTimeDetector final : public core::FailureDetector {
  public:
-  RealTimeDetector(Transport& transport, const RealTimeConfig& config);
+  /// `transport` must belong to config.detector.self in a cluster of
+  /// config.detector.n. Inbound datagrams that do not decode, or that name
+  /// a sender id >= n, are counted in codec.malformed and dropped.
+  RealTimeDetector(DatagramTransport& transport, const RealTimeConfig& config);
   ~RealTimeDetector() override;
 
   RealTimeDetector(const RealTimeDetector&) = delete;
@@ -76,8 +82,8 @@ class RealTimeDetector final : public core::FailureDetector {
   /// Rounds completed so far (monotone; for liveness checks in tests).
   [[nodiscard]] std::uint64_t rounds_completed() const;
 
-  /// The registry backing the rt.* instruments (config.registry or the
-  /// private fallback).
+  /// The registry backing the rt.* and codec.* instruments
+  /// (config.registry or the private fallback).
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return *registry_;
   }
@@ -86,12 +92,9 @@ class RealTimeDetector final : public core::FailureDetector {
   void driver_loop();
   /// Sends the driver's current plan; called without the lock held.
   void send_plan();
-  void on_datagram(ProcessId from, const WireMessage& msg);
-  void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
-    if (recorder_ != nullptr) recorder_->record(kind, a, b);
-  }
+  void on_datagram(std::span<const std::uint8_t> datagram);
 
-  Transport& transport_;
+  DatagramTransport& transport_;
   RealTimeConfig config_;
 
   mutable std::mutex mutex_;
@@ -109,7 +112,7 @@ class RealTimeDetector final : public core::FailureDetector {
   // valid for the registry's lifetime.
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   obs::MetricsRegistry* registry_{nullptr};
-  obs::FlightRecorder* recorder_{nullptr};
+  obs::Counter* malformed_{nullptr};
   obs::Counter* full_queries_sent_{nullptr};
   obs::Counter* delta_queries_sent_{nullptr};
   obs::Counter* queries_received_{nullptr};
@@ -120,11 +123,12 @@ class RealTimeDetector final : public core::FailureDetector {
   obs::Counter* query_bytes_sent_{nullptr};
   obs::Counter* response_bytes_sent_{nullptr};
 
-  // Touched only by the driver thread: the plan is written under the lock
+  // The plan is touched only by the driver thread: written under the lock
   // (begin/plan_resend read the core) and sent by send_plan() without it.
+  // The receive thread calls only serve()/accept(), under the lock.
   core::RoundDriver<core::DetectorCore> round_driver_;
-  std::vector<WireMessage> payloads_;
-  std::vector<std::uint32_t> payload_bytes_;
+  // send_plan()'s buffer: each distinct payload encoded once per plan.
+  std::vector<std::vector<std::uint8_t>> encoded_;
 };
 
 }  // namespace mmrfd::transport

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <tuple>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -175,24 +176,62 @@ TEST(RoundDriver, SendOrderFollowsPeerOrderAndStampsEachSend) {
   driver.begin(kTimeZero);
   EXPECT_EQ(recipients(driver), peers);
 
-  // Each kQueryTxSeq lands immediately before its own send.
-  std::vector<std::uint64_t> send_stamps;
+  // Each kQueryTxSeq lands immediately before its own send: at every send
+  // the ring holds one record per send so far, this send's the newest.
+  std::size_t sent = 0;
   driver.for_each_send([&](const QuerySend& s) {
     const auto records = recorder.snapshot();
-    ASSERT_FALSE(records.empty());
+    ASSERT_EQ(records.size(), sent + 1);
     EXPECT_EQ(records.back().kind, obs::TraceKind::kQueryTxSeq);
     EXPECT_EQ(records.back().a, s.to.value);
     EXPECT_EQ(records.back().b, core.query_seq());
-    send_stamps.push_back(records.back().t_ns);
-    recorder.record(obs::TraceKind::kQueryTx, s.to.value, 0);
+    ++sent;
   });
-  ASSERT_EQ(send_stamps.size(), 4u);
+  ASSERT_EQ(sent, 4u);
   const auto records = recorder.snapshot();
-  ASSERT_EQ(records.size(), 8u);
+  ASSERT_EQ(records.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(records[2 * i].a, peers[i].value);
-    EXPECT_EQ(records[2 * i].t_ns, send_stamps[i]);
+    EXPECT_EQ(records[i].a, peers[i].value);
   }
+}
+
+TEST(RoundDriver, ServeAndAcceptRecordExactlyTheirKinds) {
+  DetectorCore core(config(3, 1, 0));
+  const std::vector<ProcessId> peers = ids({1, 2});
+  std::uint64_t now = 0;
+  obs::FlightRecorder recorder(16, obs::TraceClock{&tick, &now});
+  RoundDriver<DetectorCore> driver(core, peers, nullptr, "rt", &recorder);
+  // The records written since the previous call.
+  std::size_t seen = 0;
+  const auto take = [&] {
+    std::vector<std::tuple<obs::TraceKind, std::uint32_t, std::uint32_t>> out;
+    const auto records = recorder.snapshot();
+    for (std::size_t i = seen; i < records.size(); ++i) {
+      out.emplace_back(records[i].kind, records[i].a, records[i].b);
+    }
+    seen = records.size();
+    return out;
+  };
+  using Records = decltype(take());
+
+  QueryMessage query;
+  query.seq = 7;
+  const ResponseMessage response = driver.serve(ProcessId{2}, query);
+  EXPECT_EQ(response.seq, 7u);
+  EXPECT_EQ(take(), (Records{{obs::TraceKind::kQueryRx, 2, 7},
+                             {obs::TraceKind::kResponseTxSeq, 2, 7}}));
+
+  driver.begin(kTimeZero);  // records nothing: no send has happened
+  const auto seq = static_cast<std::uint32_t>(core.query_seq());
+  EXPECT_TRUE(driver.accept(ProcessId{1}, ResponseMessage{seq}));
+  EXPECT_EQ(take(), (Records{{obs::TraceKind::kResponseRxSeq, 1, seq}}));
+
+  // A responder that names its own round adds kPeerRound.
+  ResponseMessage named{seq};
+  named.origin_seq = 42;
+  EXPECT_FALSE(driver.accept(ProcessId{2}, named));  // quorum already in
+  EXPECT_EQ(take(), (Records{{obs::TraceKind::kResponseRxSeq, 2, seq},
+                             {obs::TraceKind::kPeerRound, 2, 42}}));
 }
 
 TEST(RoundDriver, QuorumOfSelfAloneTerminatesAtBegin) {

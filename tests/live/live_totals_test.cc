@@ -7,7 +7,6 @@
 #include "live/supervisor.h"
 #include "obs/metrics_registry.h"
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
 namespace mmrfd::live {
@@ -22,13 +21,12 @@ TEST(LiveTotals, EveryNameIsRegisteredByTheNodeStack) {
   ucfg.n = 3;
   ucfg.registry = &registry;
   transport::UdpTransport udp(ucfg);
-  transport::TypedTransport typed(udp, &registry);
   transport::RealTimeConfig rcfg;
   rcfg.detector.self = ProcessId{0};
   rcfg.detector.n = 3;
   rcfg.detector.f = 1;
   rcfg.registry = &registry;
-  transport::RealTimeDetector detector(typed, rcfg);
+  transport::RealTimeDetector detector(udp, rcfg);
 
   const obs::RegistrySnapshot snapshot = registry.snapshot();
   for (const LiveTotal& total : kLiveTotals) {

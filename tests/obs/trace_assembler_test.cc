@@ -299,6 +299,28 @@ TEST(TraceLoader, BinaryLoaderDropsTornRecordsAndTruncatedTails) {
   EXPECT_EQ(corrupt->size(), 5u);
 }
 
+TEST(TraceLoader, BinaryDumpOfAnotherKindNumberingIsRejected) {
+  TempDir dir;
+  FlightRecorder recorder(4, TraceClock{&fixed_clock, nullptr});
+  recorder.record(TraceKind::kRoundOpen, 1);
+  ASSERT_TRUE(recorder.dump_binary_to_file(dir.path("now.trace")));
+  ASSERT_TRUE(load_trace_records(dir.path("now.trace")).has_value());
+
+  // The same bytes under the previous magic ("MMRTRCB1", whose kinds were
+  // numbered differently) must not load, neither as binary nor as text.
+  std::ifstream in(dir.path("now.trace"), std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(data[7], '2');
+  data[7] = '1';
+  {
+    std::ofstream out(dir.path("old.trace"), std::ios::binary);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+  EXPECT_FALSE(load_trace_records(dir.path("old.trace")).has_value());
+}
+
 TEST(TraceLoader, ParseTraceFilename) {
   const auto a = parse_trace_filename("node3.g2.bin.trace");
   ASSERT_TRUE(a.has_value());

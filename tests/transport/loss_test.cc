@@ -15,14 +15,15 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/detector_core.h"
 #include "obs/metrics_registry.h"
+#include "transport/codec.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 
 namespace mmrfd::transport {
 namespace {
@@ -40,19 +41,14 @@ bool eventually(Cond cond, std::chrono::milliseconds budget = 10000ms) {
 }
 
 TEST(LossyLinks, FullDetectorStackKeepsDetecting) {
-  // detector -> typed codec -> lossy in-memory links. A quorum-short round
+  // detector -> lossy in-memory links. A quorum-short round
   // is re-issued every `resend` to its silent peers until it terminates, so
   // rounds keep turning and a stopped node is detected. Accuracy is not
   // asserted: a lost response legitimately costs a transient suspicion.
   constexpr std::uint32_t kN = 3;
   InMemoryHub hub(kN);
   hub.set_loss_every(4);
-  std::vector<std::unique_ptr<TypedTransport>> typed;
   std::vector<std::unique_ptr<RealTimeDetector>> nodes;
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    typed.push_back(
-        std::make_unique<TypedTransport>(hub.endpoint(ProcessId{i})));
-  }
   for (std::uint32_t i = 0; i < kN; ++i) {
     RealTimeConfig cfg;
     cfg.detector.self = ProcessId{i};
@@ -60,7 +56,8 @@ TEST(LossyLinks, FullDetectorStackKeepsDetecting) {
     cfg.detector.f = 1;
     cfg.pacing = from_millis(20);
     cfg.resend = from_millis(10);
-    nodes.push_back(std::make_unique<RealTimeDetector>(*typed[i], cfg));
+    nodes.push_back(
+        std::make_unique<RealTimeDetector>(hub.endpoint(ProcessId{i}), cfg));
   }
   for (auto& n : nodes) n->start();
   // Generous budgets: this runs under parallel test load and sanitizers.
@@ -108,8 +105,8 @@ TEST(LossyLinks, NeedFullResyncAfterPeerRestart) {
   constexpr ProcessId kB{1};
   InMemoryHub hub(2);
   hub.set_loss_every(3);
-  TypedTransport ta(hub.endpoint(kA));
-  TypedTransport tb(hub.endpoint(kB));
+  DatagramTransport& ta = hub.endpoint(kA);
+  DatagramTransport& tb = hub.endpoint(kB);
 
   core::DetectorConfig cfg_a;
   cfg_a.self = kA;
@@ -125,21 +122,25 @@ TEST(LossyLinks, NeedFullResyncAfterPeerRestart) {
   auto b = std::make_unique<core::DetectorCore>(cfg_b);
   int need_full_responses = 0;
 
-  ta.set_handler([&](ProcessId from, const WireMessage& msg) {
-    if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
+  ta.set_handler([&](std::span<const std::uint8_t> datagram) {
+    const auto env = decode_envelope(datagram);
+    ASSERT_TRUE(env.has_value());
+    if (const auto* r = std::get_if<core::ResponseMessage>(&env->message)) {
       std::lock_guard lock(mu);
-      a.on_response(from, *r);
+      a.on_response(env->sender, *r);
       if (r->need_full) ++need_full_responses;
     }
   });
-  tb.set_handler([&](ProcessId from, const WireMessage& msg) {
-    if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
+  tb.set_handler([&](std::span<const std::uint8_t> datagram) {
+    const auto env = decode_envelope(datagram);
+    ASSERT_TRUE(env.has_value());
+    if (const auto* q = std::get_if<core::QueryMessage>(&env->message)) {
       core::ResponseMessage response;
       {
         std::lock_guard lock(mu);
-        response = b->on_query(from, *q);
+        response = b->on_query(env->sender, *q);
       }
-      tb.send(from, WireMessage{response});
+      tb.send(env->sender, encode_envelope(kB, response));
     }
   });
   ta.start();
@@ -157,7 +158,7 @@ TEST(LossyLinks, NeedFullResyncAfterPeerRestart) {
         a.begin_query();
         q = a.query_for(kB);
       }
-      ta.send(kB, WireMessage{q});
+      ta.send(kB, encode_envelope(kA, q));
       eventually(
           [&] {
             std::lock_guard lock(mu);
