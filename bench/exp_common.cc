@@ -46,54 +46,39 @@ Duration stagger(std::uint64_t seed, ProcessId id, Duration period) {
       rng.next_double() * static_cast<double>(period.count())));
 }
 
-}  // namespace
-
-RunMetrics summarize(const metrics::EventLog& log, std::uint32_t n,
-                     Duration horizon) {
+RunMetrics from_summary(const metrics::RollupSummary& s) {
   RunMetrics out;
-  metrics::Analysis analysis(log, n, horizon);
-  // One crash_summaries() pass feeds latencies, completeness and the worst
-  // per-crash instant (each call re-derives detections from the log).
-  const auto summaries = analysis.crash_summaries();
-  out.strong_completeness = true;
-  double worst = 0.0;
-  for (const auto& s : summaries) {
-    for (double lat : s.latencies.samples()) out.detection_latencies.add(lat);
-    if (s.completeness_latency) {
-      worst = std::max(worst, to_seconds(*s.completeness_latency));
-    } else {
-      out.strong_completeness = false;
-    }
-  }
-  if (out.strong_completeness) out.completeness_latency = worst;
-  const auto fs = analysis.false_suspicions();
-  out.false_suspicions = fs.size();
-  for (const auto& f : fs) {
-    if (f.cleared_at) {
-      out.mistake_durations.add(to_seconds(*f.cleared_at - f.suspected_at));
-    }
-  }
-  out.false_series = analysis.false_suspicion_series();
-  if (auto t = analysis.accuracy_stabilization()) {
-    out.accuracy_stable_at = to_seconds(*t);
-  }
-  if (auto t = analysis.full_accuracy_stabilization()) {
-    out.clean_at = to_seconds(*t);
-  }
-  return out;
-}
-
-RunMetrics summarize_rollup_metrics(const std::vector<metrics::PairRollup>& pairs,
-                                    const std::vector<metrics::CrashRecord>& crashes,
-                                    std::uint32_t n) {
-  RunMetrics out;
-  const metrics::RollupSummary s = metrics::summarize_rollup(pairs, crashes, n);
   out.detection_latencies = s.detection_latencies;
   out.completeness_latency = s.completeness_latency;
   out.strong_completeness = s.strong_completeness;
   out.false_suspicions = s.false_suspicions;
   out.clean_at = s.clean_at;
   return out;
+}
+
+}  // namespace
+
+RunMetrics summarize(const metrics::EventLog& log, std::uint32_t n,
+                     Duration horizon) {
+  const metrics::Analysis analysis(log, n, horizon);
+  RunMetrics out = from_summary(analysis.summary());
+  if (auto t = analysis.accuracy_stabilization()) {
+    out.accuracy_stable_at = to_seconds(*t);
+  }
+  // The stream-only extras; empty over a kRollup log.
+  for (const auto& f : analysis.false_suspicions()) {
+    if (f.cleared_at) {
+      out.mistake_durations.add(to_seconds(*f.cleared_at - f.suspected_at));
+    }
+  }
+  out.false_series = analysis.false_suspicion_series();
+  return out;
+}
+
+RunMetrics summarize_rollup_metrics(const std::vector<metrics::PairRollup>& pairs,
+                                    const std::vector<metrics::CrashRecord>& crashes,
+                                    std::uint32_t n) {
+  return from_summary(metrics::summarize_rollup(pairs, crashes, n));
 }
 
 RunMetrics run_mmr(const Workload& w) {

@@ -75,13 +75,14 @@ struct RunMetrics {
   std::optional<double> clean_at;
 };
 
+/// Headline fields from the log's pair rollup (metrics::Analysis::summary())
+/// plus accuracy_stable_at, and the stream-only extras (mistake durations,
+/// false series), which stay empty over a kRollup log.
 RunMetrics summarize(const metrics::EventLog& log, std::uint32_t n,
                      Duration horizon);
 
-/// Rollup-mode counterpart of summarize(): fills the fields computable from
-/// per-pair rollups (detection latencies, completeness, false-suspicion
-/// count, clean_at) and leaves the stream-only ones (mistake durations,
-/// false series, accuracy_stable_at) empty.
+/// The headline fields from a merged rollup() vector (the sharded engine's
+/// per-shard logs); accuracy_stable_at and the stream-only extras stay empty.
 RunMetrics summarize_rollup_metrics(const std::vector<metrics::PairRollup>& pairs,
                                     const std::vector<metrics::CrashRecord>& crashes,
                                     std::uint32_t n);

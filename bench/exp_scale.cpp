@@ -54,7 +54,6 @@ struct ScaleConfig {
   std::uint64_t seed{0};
   bool delta{true};
   std::uint32_t shards{0};  ///< 0 = serial Simulation, >0 = ShardedEngine
-  bool rollup_log{false};   ///< serial path only; sharded is always rollup
 };
 
 struct ScaleResult {
@@ -99,7 +98,9 @@ runtime::MmrClusterConfig cluster_config(const ScaleConfig& c,
   cfg.mean_delay = from_millis(1);
   cfg.delay_preset = net::DelayPreset::kExponential;
   cfg.delta_queries = c.delta;
-  if (c.rollup_log) cfg.log_mode = metrics::LogMode::kRollup;
+  // Every column comes from the per-pair rollup, so neither engine keeps
+  // the event stream.
+  cfg.log_mode = metrics::LogMode::kRollup;
   if (with_spike) {
     // A transient slowdown on ~1% of the nodes in the back half of the run.
     // The factor pushes their mean delay (1ms) past the pacing period (1s),
@@ -202,11 +203,7 @@ ScaleResult run_serial(const ScaleConfig& c, Duration horizon, Duration pacing,
             << cluster.simulation().events_fired() << " events, "
             << cluster.log().entries() << " log entries; analysing...\n";
 
-  const bench::RunMetrics m =
-      cfg.log_mode == metrics::LogMode::kRollup
-          ? bench::summarize_rollup_metrics(cluster.log().rollup(),
-                                            cluster.log().crashes(), c.n)
-          : bench::summarize(cluster.log(), c.n, horizon);
+  const bench::RunMetrics m = bench::summarize(cluster.log(), c.n, horizon);
   std::cerr << "[exp_scale]   analysis "
             << std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              wall_start)
@@ -440,7 +437,6 @@ int main(int argc, char** argv) {
       .flag("mode", "both", "query encoding: delta, full, or both")
       .flag("engine", "serial", "simulation engine: serial, sharded, or both")
       .flag("shards", "4", "worker shards for the sharded engine")
-      .flag("log", "full", "serial event-log retention: full or rollup")
       .flag("jobs", "1", "fork one worker process per config, N at a time")
       .flag("out", "BENCH_scale.json", "JSON output path")
       .flag("csv", "false", "emit CSV instead of an aligned table");
@@ -502,12 +498,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto shards = static_cast<std::uint32_t>(shards_arg);
-  const std::string log_mode = args.get("log");
-  if (log_mode != "full" && log_mode != "rollup") {
-    std::cerr << "exp_scale: --log must be full or rollup (got '" << log_mode
-              << "')\n";
-    return 1;
-  }
   const int jobs_arg = args.get_int("jobs");
   if (jobs_arg < 1) {
     std::cerr << "exp_scale: --jobs must be >= 1\n";
@@ -545,16 +535,13 @@ int main(int argc, char** argv) {
   // Build the config list up front (the unit of work for --jobs). Encoding
   // varies fastest so full-vs-delta rows for one (n, seed) sit adjacent.
   std::vector<ScaleConfig> configs;
-  const bool rollup = log_mode == "rollup";
   for (const std::uint32_t n : sizes) {
     for (std::uint64_t seed = 1;
          seed <= static_cast<std::uint64_t>(args.get_int("seeds")); ++seed) {
       for (const bool delta : {false, true}) {
         if (delta ? mode == "full" : mode == "delta") continue;
-        if (engine != "sharded") configs.push_back({n, seed, delta, 0, rollup});
-        if (engine != "serial") {
-          configs.push_back({n, seed, delta, shards, rollup});
-        }
+        if (engine != "sharded") configs.push_back({n, seed, delta, 0});
+        if (engine != "serial") configs.push_back({n, seed, delta, shards});
       }
     }
   }

@@ -110,7 +110,6 @@ void DetectorCore::begin_query() {
     }
   }
   delta_.begin_round();
-  round_queries_.clear();
   trace(obs::TraceKind::kRoundOpen,
         static_cast<std::uint32_t>(seq_), 0);
 }
@@ -138,33 +137,26 @@ QueryMessage DetectorCore::query_for(ProcessId peer) {
   assert(in_progress_);
   assert(delta_.epoch() == delta_.sent_epoch());  // no mutation since begin
   const Epoch base = full_query_needed(peer) ? 0 : delta_.acked(peer);
-  for (const auto& [b, q] : round_queries_) {
-    if (b == base) return q;
-  }
+  if (base == 0) return full_query();
   QueryMessage q;
-  if (base == 0) {
-    q = full_query();
-  } else {
-    q.seq = seq_;
-    q.epoch = delta_.sent_epoch();
-    q.base_epoch = base;
-    q.set_delta(true);
-    std::vector<TaggedEntry> mist;
-    for (ProcessId id : delta_.journal().changed_since(base)) {
-      // In a correct execution every id ever touched stays in exactly one
-      // of the two sets (erase only ever accompanies a re-add), but
-      // transient corruption can leave the replay window naming ids that
-      // are now in neither — absence is not gossipable, so skip them.
-      if (const auto t = suspected_.tag_of(id)) {
-        q.entries.push_back({id, *t});
-      } else if (const auto m = mistake_.tag_of(id)) {
-        mist.push_back({id, *m});
-      }
+  q.seq = seq_;
+  q.epoch = delta_.sent_epoch();
+  q.base_epoch = base;
+  q.set_delta(true);
+  std::vector<TaggedEntry> mist;
+  for (ProcessId id : delta_.journal().changed_since(base)) {
+    // In a correct execution every id ever touched stays in exactly one
+    // of the two sets (erase only ever accompanies a re-add), but
+    // transient corruption can leave the replay window naming ids that
+    // are now in neither — absence is not gossipable, so skip them.
+    if (const auto t = suspected_.tag_of(id)) {
+      q.entries.push_back({id, *t});
+    } else if (const auto m = mistake_.tag_of(id)) {
+      mist.push_back({id, *m});
     }
-    q.suspected_count = static_cast<std::uint32_t>(q.entries.size());
-    q.entries.insert(q.entries.end(), mist.begin(), mist.end());
   }
-  round_queries_.emplace_back(base, q);
+  q.suspected_count = static_cast<std::uint32_t>(q.entries.size());
+  q.entries.insert(q.entries.end(), mist.begin(), mist.end());
   return q;
 }
 

@@ -155,7 +155,8 @@ class DetectorCore final : public FailureDetector {
 
   /// The query to send `peer` this round: a delta against the epoch the
   /// peer last acknowledged, or the full encoding when
-  /// full_query_needed(peer). Per-round results are memoized by base epoch.
+  /// full_query_needed(peer). Builds a fresh message on every call;
+  /// RoundDriver calls it once per distinct base epoch per plan.
   [[nodiscard]] QueryMessage query_for(ProcessId peer);
 
   /// Give-up policy decision for the current round: false when `peer` has
@@ -300,9 +301,6 @@ class DetectorCore final : public FailureDetector {
   // inspecting epochs is always valid; record() is O(1)). The watermark
   // rules live in common::DeltaState.
   DeltaState delta_;
-  /// Per-round memo of built queries, keyed by base epoch (0 = full): all
-  /// peers that acked the same epoch share one construction.
-  std::vector<std::pair<Epoch, QueryMessage>> round_queries_;
 };
 
 }  // namespace mmrfd::core

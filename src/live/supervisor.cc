@@ -426,11 +426,11 @@ void Supervisor::aggregate(std::vector<Proc>& procs, Duration horizon,
     result.nodes.push_back(std::move(outcome));
   }
 
-  // Merge every report's transition history into one time-ordered stream
-  // and reuse the simulator's analysis verbatim: faulty processes (the kill
-  // victims) are excluded as observers by Analysis itself.
+  // Fold every report's transition history, in time order, into one pair
+  // rollup and reuse the simulator's analysis verbatim: faulty processes
+  // (the kill victims) are excluded as observers by Analysis itself.
   sim::Simulation clock_source;  // never advanced; EventLog only needs a ref
-  metrics::EventLog log(clock_source);
+  metrics::EventLog log(clock_source, metrics::LogMode::kRollup);
   std::vector<metrics::SuspicionEvent> events;
   for (const LiveNodeOutcome& node : result.nodes) {
     for (const NodeReport& r : node.reports) {
@@ -453,14 +453,11 @@ void Supervisor::aggregate(std::vector<Proc>& procs, Duration horizon,
     log.record_crash_at(c.victim, c.at);
   }
 
-  const metrics::Analysis analysis(log, config_.n, horizon);
-  for (const metrics::Detection& d : analysis.detections()) {
-    if (const auto latency = d.latency()) {
-      result.detection_latencies.add(to_seconds(*latency));
-    }
-  }
-  result.strong_completeness = analysis.strong_completeness();
-  result.false_suspicions = analysis.false_suspicions().size();
+  const metrics::RollupSummary summary =
+      metrics::Analysis(log, config_.n, horizon).summary();
+  result.detection_latencies = summary.detection_latencies;
+  result.strong_completeness = summary.strong_completeness;
+  result.false_suspicions = summary.false_suspicions;
 
   std::size_t harvested = 0;
   for (const LiveNodeOutcome& node : result.nodes) {

@@ -100,8 +100,10 @@ struct LiveRunResult {
   std::size_t unexpected_exits{0};
   std::size_t missing_reports{0};
 
-  // Aggregates computed by metrics::Analysis over the merged event stream.
-  SampleSet detection_latencies;  ///< seconds, per (crash, correct observer)
+  // Aggregates computed by metrics::Analysis::summary() over the merged
+  // event stream's pair rollup, as in the simulated experiments.
+  SampleSet detection_latencies;  ///< seconds, per (crash, correct observer),
+                                  ///< clamped at zero
   bool strong_completeness{false};
   std::size_t false_suspicions{0};
 

@@ -3,34 +3,163 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace mmrfd::metrics {
 
 namespace {
 
-/// Hash key of an (observer, subject) pair: observer in the high half,
-/// subject in the low half, so key order is (observer, subject) order.
-std::uint64_t pair_key(ProcessId obs, ProcessId subj) {
-  return (static_cast<std::uint64_t>(obs.value) << 32) | subj.value;
+/// Per id < n: true iff the process never crashed.
+std::vector<bool> correct_mask(const std::vector<CrashRecord>& crashes,
+                               std::uint32_t n) {
+  std::vector<bool> mask(n, true);
+  for (const auto& c : crashes) {
+    if (c.subject.value < n) mask[c.subject.value] = false;
+  }
+  return mask;
 }
 
-/// One pass over the log for the wrongful-suspicion intervals between two
+bool is_correct(const std::vector<bool>& correct, ProcessId id) {
+  return id.value < correct.size() && correct[id.value];
+}
+
+/// A rollup() vector indexed by pair, offering the pair() / for_each_pair()
+/// reads EventLog offers in place, so both feed the same code below.
+class RollupIndex {
+ public:
+  explicit RollupIndex(const std::vector<PairRollup>& pairs) : pairs_(pairs) {
+    by_key_.reserve(pairs.size());
+    for (const auto& p : pairs) {
+      by_key_.emplace(pair_key(p.observer, p.subject), &p);
+    }
+  }
+
+  [[nodiscard]] const PairRollup* pair(ProcessId observer,
+                                       ProcessId subject) const {
+    const auto it = by_key_.find(pair_key(observer, subject));
+    return it == by_key_.end() ? nullptr : it->second;
+  }
+
+  template <typename Fn>
+  void for_each_pair(Fn&& fn) const {
+    for (const auto& p : pairs_) fn(p);
+  }
+
+ private:
+  const std::vector<PairRollup>& pairs_;
+  std::unordered_map<std::uint64_t, const PairRollup*> by_key_;
+};
+
+/// When `observer` detected `subject`: the start of the pair's still-open
+/// suspicion interval; unset if no interval is open at the end of the run.
+template <typename Pairs>
+std::optional<TimePoint> detected_at(const Pairs& pairs, ProcessId observer,
+                                     ProcessId subject) {
+  const PairRollup* p = pairs.pair(observer, subject);
+  if (p == nullptr || !p->open) return std::nullopt;
+  return p->open_since;
+}
+
+template <typename Pairs>
+std::vector<CrashDetectionSummary> summarize_crashes(
+    const Pairs& pairs, const std::vector<CrashRecord>& crashes,
+    const std::vector<bool>& correct) {
+  std::vector<CrashDetectionSummary> out;
+  out.reserve(crashes.size());
+  for (const auto& c : crashes) {
+    CrashDetectionSummary s;
+    s.subject = c.subject;
+    s.crash_at = c.when;
+    Duration worst = Duration::zero();
+    for (std::uint32_t i = 0; i < correct.size(); ++i) {
+      if (!correct[i]) continue;
+      ++s.observers;
+      const auto at = detected_at(pairs, ProcessId{i}, c.subject);
+      if (!at) continue;
+      ++s.detected_by;
+      // A detection can begin *before* the crash (the process was already
+      // wrongly suspected and never repaired); clamp at zero.
+      const Duration latency = std::max(Duration::zero(), *at - c.when);
+      s.latencies.add(to_seconds(latency));
+      worst = std::max(worst, latency);
+    }
+    if (s.observers > 0 && s.detected_by == s.observers) {
+      s.completeness_latency = worst;
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// Wrongful suspicions (observer and subject both correct), per subject.
+struct Wrongful {
+  std::size_t episodes{0};
+  std::vector<TimePoint> last_clear;  ///< last repair of a suspicion of it
+  std::vector<bool> open;             ///< some suspicion of it still open
+};
+
+template <typename Pairs>
+Wrongful scan_wrongful(const Pairs& pairs, const std::vector<bool>& correct) {
+  Wrongful w;
+  w.last_clear.assign(correct.size(), kTimeZero);
+  w.open.assign(correct.size(), false);
+  pairs.for_each_pair([&](const PairRollup& p) {
+    if (!is_correct(correct, p.observer) || !is_correct(correct, p.subject)) {
+      return;
+    }
+    const std::uint32_t q = p.subject.value;
+    w.episodes += p.episodes;
+    w.last_clear[q] = std::max(w.last_clear[q], p.last_clear);
+    if (p.open) w.open[q] = true;
+  });
+  return w;
+}
+
+std::optional<TimePoint> clean_at(const Wrongful& w) {
+  if (std::find(w.open.begin(), w.open.end(), true) != w.open.end()) {
+    return std::nullopt;
+  }
+  return w.last_clear.empty()
+             ? kTimeZero
+             : *std::max_element(w.last_clear.begin(), w.last_clear.end());
+}
+
+template <typename Pairs>
+RollupSummary summarize(const Pairs& pairs,
+                        const std::vector<CrashRecord>& crashes,
+                        const std::vector<bool>& correct) {
+  RollupSummary out;
+  out.strong_completeness = true;
+  Duration worst = Duration::zero();
+  for (const auto& s : summarize_crashes(pairs, crashes, correct)) {
+    for (double lat : s.latencies.samples()) out.detection_latencies.add(lat);
+    if (s.completeness_latency) {
+      worst = std::max(worst, *s.completeness_latency);
+    } else {
+      out.strong_completeness = false;
+    }
+  }
+  if (out.strong_completeness) out.completeness_latency = to_seconds(worst);
+  const Wrongful w = scan_wrongful(pairs, correct);
+  out.false_suspicions = w.episodes;
+  if (const auto t = clean_at(w)) out.clean_at = to_seconds(*t);
+  return out;
+}
+
+/// One pass over the stream for the wrongful-suspicion intervals between two
 /// correct processes: calls `on_closed(observer, subject, start, end)` for
 /// each repaired interval in log order, and returns the intervals still open
 /// at the end of the log as pair_key -> start. A repeated kSuspected on an
-/// open pair keeps the earlier start.
+/// open pair keeps the earlier start, as the pair rollup does.
 template <typename OnClosed>
 std::unordered_map<std::uint64_t, TimePoint> scan_false_suspicions(
     const EventLog& log, const std::vector<bool>& correct,
     OnClosed&& on_closed) {
-  const auto is_correct = [&](ProcessId id) {
-    return id.value < correct.size() && correct[id.value];
-  };
   std::unordered_map<std::uint64_t, TimePoint> open;
   for (const auto& e : log.events()) {
-    if (!is_correct(e.subject) || !is_correct(e.observer)) continue;
+    if (!is_correct(correct, e.subject) || !is_correct(correct, e.observer)) {
+      continue;
+    }
     const std::uint64_t key = pair_key(e.observer, e.subject);
     if (e.kind == SuspicionEventKind::kSuspected) {
       open.try_emplace(key, e.when);
@@ -49,23 +178,8 @@ std::unordered_map<std::uint64_t, TimePoint> scan_false_suspicions(
 Analysis::Analysis(const EventLog& log, std::uint32_t n, TimePoint horizon)
     : log_(log), n_(n), horizon_(horizon) {}
 
-std::optional<TimePoint> Analysis::crash_time(ProcessId id) const {
-  for (const auto& c : log_.crashes()) {
-    if (c.subject == id) return c.when;
-  }
-  return std::nullopt;
-}
-
-std::vector<bool> Analysis::correct_mask() const {
-  std::vector<bool> mask(n_, true);
-  for (const auto& c : log_.crashes()) {
-    if (c.subject.value < n_) mask[c.subject.value] = false;
-  }
-  return mask;
-}
-
 std::vector<ProcessId> Analysis::correct() const {
-  const auto mask = correct_mask();
+  const auto mask = correct_mask(log_.crashes(), n_);
   std::vector<ProcessId> out;
   for (std::uint32_t i = 0; i < n_; ++i) {
     if (mask[i]) out.push_back(ProcessId{i});
@@ -81,72 +195,31 @@ std::vector<ProcessId> Analysis::faulty() const {
 }
 
 std::vector<Detection> Analysis::detections() const {
-  // One pass over the log builds the *final* suspicion interval per
-  // (observer, subject): last kSuspected with no later kCleared. The seed
-  // implementation re-scanned the whole log per (crash, observer) pair —
-  // O(crashes * observers * events), which at n = 1000 with f/2 crashes is
-  // ~10^10 event visits and dominated entire large-n sweeps.
-  std::unordered_map<std::uint64_t, TimePoint> last_suspected;
-  for (const auto& e : log_.events()) {
-    if (e.kind == SuspicionEventKind::kSuspected) {
-      last_suspected[pair_key(e.observer, e.subject)] = e.when;
-    } else if (e.kind == SuspicionEventKind::kCleared) {
-      last_suspected.erase(pair_key(e.observer, e.subject));
-    }
-  }
   std::vector<Detection> out;
   const auto correct_set = correct();
   out.reserve(log_.crashes().size() * correct_set.size());
   for (const auto& c : log_.crashes()) {
     for (ProcessId obs : correct_set) {
-      Detection d;
-      d.observer = obs;
-      d.subject = c.subject;
-      d.crash_at = c.when;
-      if (auto it = last_suspected.find(pair_key(obs, c.subject));
-          it != last_suspected.end()) {
-        d.detected_at = it->second;
-      }
-      out.push_back(std::move(d));
+      out.push_back(
+          Detection{obs, c.subject, c.when, detected_at(log_, obs, c.subject)});
     }
   }
   return out;
 }
 
 std::vector<CrashDetectionSummary> Analysis::crash_summaries() const {
-  std::vector<CrashDetectionSummary> out;
-  const auto all = detections();
-  for (const auto& c : log_.crashes()) {
-    CrashDetectionSummary s;
-    s.subject = c.subject;
-    s.crash_at = c.when;
-    std::optional<Duration> worst;
-    bool all_detected = true;
-    for (const auto& d : all) {
-      if (d.subject != c.subject) continue;
-      ++s.observers;
-      if (auto lat = d.latency()) {
-        ++s.detected_by;
-        // A detection can begin *before* the crash (the process was already
-        // wrongly suspected and never repaired); clamp at zero.
-        const double secs = std::max(0.0, to_seconds(*lat));
-        s.latencies.add(secs);
-        const Duration clamped = std::max(Duration::zero(), *lat);
-        worst = worst ? std::max(*worst, clamped) : clamped;
-      } else {
-        all_detected = false;
-      }
-    }
-    if (all_detected && s.observers > 0) s.completeness_latency = worst;
-    out.push_back(std::move(s));
-  }
-  return out;
+  return summarize_crashes(log_, log_.crashes(),
+                           correct_mask(log_.crashes(), n_));
+}
+
+RollupSummary Analysis::summary() const {
+  return summarize(log_, log_.crashes(), correct_mask(log_.crashes(), n_));
 }
 
 std::vector<FalseSuspicion> Analysis::false_suspicions() const {
   std::vector<FalseSuspicion> out;
   const auto open = scan_false_suspicions(
-      log_, correct_mask(),
+      log_, correct_mask(log_.crashes(), n_),
       [&](ProcessId obs, ProcessId subj, TimePoint start, TimePoint end) {
         out.push_back(FalseSuspicion{obs, subj, start, end});
       });
@@ -193,100 +266,34 @@ std::vector<FalseSuspicionPoint> Analysis::false_suspicion_series() const {
 }
 
 std::optional<TimePoint> Analysis::accuracy_stabilization() const {
-  // One interval scan for every subject, without materialising or sorting
-  // the interval list. For each correct p: the last repair instant naming p,
-  // or disqualification if some interval never closes.
-  const auto mask = correct_mask();
-  std::vector<TimePoint> last_clear(n_, kTimeZero);
-  const auto open = scan_false_suspicions(
-      log_, mask, [&](ProcessId, ProcessId subj, TimePoint, TimePoint end) {
-        last_clear[subj.value] = std::max(last_clear[subj.value], end);
-      });
-  std::vector<bool> open_forever(n_, false);
-  for (const auto& entry : open) {
-    open_forever[static_cast<std::uint32_t>(entry.first)] = true;  // subject
-  }
+  // For each correct p: the last repair of a suspicion of p, or
+  // disqualification if one is still open; the earliest such p wins.
+  const auto mask = correct_mask(log_.crashes(), n_);
+  const Wrongful w = scan_wrongful(log_, mask);
   std::optional<TimePoint> best;
   for (std::uint32_t p = 0; p < n_; ++p) {
-    if (!mask[p] || open_forever[p]) continue;
-    if (!best || last_clear[p] < *best) best = last_clear[p];
+    if (!mask[p] || w.open[p]) continue;
+    if (!best || w.last_clear[p] < *best) best = w.last_clear[p];
   }
   return best;
 }
 
 std::optional<TimePoint> Analysis::full_accuracy_stabilization() const {
-  TimePoint last = kTimeZero;
-  const auto open = scan_false_suspicions(
-      log_, correct_mask(),
-      [&](ProcessId, ProcessId, TimePoint, TimePoint end) {
-        last = std::max(last, end);
-      });
-  if (!open.empty()) return std::nullopt;
-  return last;
+  return clean_at(scan_wrongful(log_, correct_mask(log_.crashes(), n_)));
 }
 
 bool Analysis::strong_completeness() const {
-  for (const auto& s : crash_summaries()) {
-    if (!s.completeness_latency) return false;
-  }
-  return true;
+  const auto summaries = crash_summaries();
+  return std::all_of(summaries.begin(), summaries.end(),
+                     [](const CrashDetectionSummary& s) {
+                       return s.completeness_latency.has_value();
+                     });
 }
 
 RollupSummary summarize_rollup(const std::vector<PairRollup>& pairs,
                                const std::vector<CrashRecord>& crashes,
                                std::uint32_t n) {
-  RollupSummary out;
-  std::unordered_set<std::uint32_t> crashed;
-  for (const auto& c : crashes) crashed.insert(c.subject.value);
-  const auto is_correct = [&](ProcessId id) {
-    return id.value < n && !crashed.contains(id.value);
-  };
-
-  std::unordered_map<std::uint64_t, const PairRollup*> by_key;
-  by_key.reserve(pairs.size());
-  for (const auto& p : pairs) {
-    by_key.emplace(pair_key(p.observer, p.subject), &p);
-  }
-
-  // Detection / completeness: a crash is detected by a correct observer iff
-  // the pair's suspicion interval is still open at the end of the run; its
-  // start is the detection instant (clamped at zero when the subject was
-  // already wrongly suspected before it crashed and never repaired).
-  const std::size_t observers = n - crashed.size();
-  out.strong_completeness = true;
-  double worst = 0.0;
-  for (const auto& c : crashes) {
-    bool all_detected = observers > 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const ProcessId obs{i};
-      if (!is_correct(obs)) continue;
-      const auto it = by_key.find(pair_key(obs, c.subject));
-      if (it != by_key.end() && it->second->open) {
-        const double lat = std::max(
-            0.0, to_seconds(it->second->open_since - c.when));
-        out.detection_latencies.add(lat);
-        worst = std::max(worst, lat);
-      } else {
-        all_detected = false;
-      }
-    }
-    if (!all_detected) out.strong_completeness = false;
-  }
-  if (out.strong_completeness) out.completeness_latency = worst;
-
-  // Wrongful suspicions: every episode between two correct processes,
-  // whether repaired or still open — the same counting rule as
-  // Analysis::false_suspicions().
-  TimePoint last_clear = kTimeZero;
-  bool any_open = false;
-  for (const auto& p : pairs) {
-    if (!is_correct(p.observer) || !is_correct(p.subject)) continue;
-    out.false_suspicions += p.episodes;
-    last_clear = std::max(last_clear, p.last_clear);
-    any_open = any_open || p.open;
-  }
-  if (!any_open) out.clean_at = to_seconds(last_clear);
-  return out;
+  return summarize(RollupIndex(pairs), crashes, correct_mask(crashes, n));
 }
 
 }  // namespace mmrfd::metrics

@@ -1,6 +1,13 @@
 // Offline analyzers over a run's EventLog: every number the experiments
-// report is computed here, so benches and tests share one definition of
-// "detection time", "false suspicion", etc.
+// report is computed here, so benches, the live supervisor and tests share
+// one definition of "detection time", "false suspicion", etc.
+//
+// The ◇S metrics — detections, crash summaries, strong completeness, the
+// false-suspicion count and both accuracy-stabilization instants — read the
+// log's per-pair rollup (event_log.h) in place, so they hold in either
+// retention mode, and summarize_rollup() runs the same code over a rollup()
+// vector. Only the interval list (false_suspicions()) and its step series
+// walk the event stream; they are empty over a kRollup log.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +26,8 @@ struct Detection {
   ProcessId observer;
   ProcessId subject;
   TimePoint crash_at{kTimeZero};
-  /// Start of the observer's *final* (permanent) suspicion of the subject;
-  /// unset if the observer never permanently suspected it in the horizon.
+  /// Start of the observer's *final* (still-open) suspicion interval of the
+  /// subject; unset if the observer did not suspect it at the end of the run.
   std::optional<TimePoint> detected_at;
 
   [[nodiscard]] std::optional<Duration> latency() const {
@@ -57,6 +64,20 @@ struct FalseSuspicionPoint {
   std::int64_t active{0};
 };
 
+/// Headline metrics from per-pair rollups: detection = start of the final
+/// (still-open) suspicion interval, latencies clamped at zero, false
+/// suspicions = intervals opened between two correct processes, clean_at =
+/// last wrongful repair (unset while one is open).
+struct RollupSummary {
+  SampleSet detection_latencies;  ///< seconds, per (crash, correct observer)
+  /// Worst per-crash strong-completeness latency (seconds); unset if some
+  /// crash went undetected by some correct observer.
+  std::optional<double> completeness_latency;
+  bool strong_completeness{false};
+  std::size_t false_suspicions{0};
+  std::optional<double> clean_at;  ///< seconds
+};
+
 class Analysis {
  public:
   /// `n` = system size; the log's crash records define the faulty set.
@@ -71,7 +92,11 @@ class Analysis {
   /// Grouped per crash.
   [[nodiscard]] std::vector<CrashDetectionSummary> crash_summaries() const;
 
-  /// All wrongful suspicions by correct observers of correct subjects.
+  /// The headline metrics; the same code as summarize_rollup().
+  [[nodiscard]] RollupSummary summary() const;
+
+  /// All wrongful suspicions by correct observers of correct subjects
+  /// (needs the kFull stream).
   [[nodiscard]] std::vector<FalseSuspicion> false_suspicions() const;
 
   /// Step series of concurrently-active wrongful suspicions.
@@ -95,29 +120,9 @@ class Analysis {
   [[nodiscard]] bool strong_completeness() const;
 
  private:
-  [[nodiscard]] std::optional<TimePoint> crash_time(ProcessId id) const;
-
-  /// Per id < n: true iff the process never crashed.
-  [[nodiscard]] std::vector<bool> correct_mask() const;
-
   const EventLog& log_;
   std::uint32_t n_;
   TimePoint horizon_;
-};
-
-/// Headline metrics computable from per-pair rollups (LogMode::kRollup),
-/// matching the definitions Analysis derives from the full event stream:
-/// detection = start of the final (still-open) suspicion interval, latencies
-/// clamped at zero, false suspicions = intervals between two correct
-/// processes, clean_at = last wrongful repair (unset while one is open).
-struct RollupSummary {
-  SampleSet detection_latencies;  ///< seconds, per (crash, correct observer)
-  /// Worst per-crash strong-completeness latency (seconds); unset if some
-  /// crash went undetected by some correct observer.
-  std::optional<double> completeness_latency;
-  bool strong_completeness{false};
-  std::size_t false_suspicions{0};
-  std::optional<double> clean_at;  ///< seconds
 };
 
 /// `pairs` from EventLog::rollup(), `crashes` from EventLog::crashes(),

@@ -4,21 +4,18 @@
 
 namespace mmrfd::metrics {
 
-namespace {
-std::uint64_t pair_key(ProcessId observer, ProcessId subject) {
-  return (static_cast<std::uint64_t>(observer.value) << 32) | subject.value;
-}
-}  // namespace
-
 void EventLog::apply(TimePoint when, ProcessId observer, ProcessId subject,
                      SuspicionEventKind kind, Tag tag) {
   if (mode_ == LogMode::kFull) {
     events_.push_back(SuspicionEvent{when, observer, subject, kind, tag});
   }
-  // The pair summary is maintained in both modes: full-mode callers get
-  // rollup() for free, and the rollup/full equivalence is testable on one
-  // log instance.
-  PairState& p = pairs_[pair_key(observer, subject)];
+  // The pair summary is maintained in both modes: Analysis reads it for
+  // every ◇S metric, and the rollup/full equivalence is testable on one log
+  // instance.
+  PairRollup& p = pairs_
+                      .try_emplace(pair_key(observer, subject),
+                                   PairRollup{observer, subject})
+                      .first->second;
   switch (kind) {
     case SuspicionEventKind::kSuspected:
       if (!p.open) {
@@ -51,17 +48,7 @@ void EventLog::record_crash(ProcessId subject) {
 std::vector<PairRollup> EventLog::rollup() const {
   std::vector<PairRollup> out;
   out.reserve(pairs_.size());
-  for (const auto& [key, p] : pairs_) {
-    PairRollup r;
-    r.observer = ProcessId{static_cast<std::uint32_t>(key >> 32)};
-    r.subject = ProcessId{static_cast<std::uint32_t>(key & 0xffffffffu)};
-    r.open = p.open;
-    r.open_since = p.open_since;
-    r.last_clear = p.last_clear;
-    r.episodes = p.episodes;
-    r.mistakes = p.mistakes;
-    out.push_back(r);
-  }
+  for (const auto& entry : pairs_) out.push_back(entry.second);
   std::sort(out.begin(), out.end(),
             [](const PairRollup& a, const PairRollup& b) {
               if (a.observer != b.observer) return a.observer < b.observer;
@@ -73,7 +60,7 @@ std::vector<PairRollup> EventLog::rollup() const {
 std::size_t EventLog::approx_retained_bytes() const {
   // unordered_map node overhead (~2 pointers) + bucket array estimate.
   const std::size_t per_pair =
-      sizeof(std::uint64_t) + sizeof(PairState) + 2 * sizeof(void*);
+      sizeof(std::uint64_t) + sizeof(PairRollup) + 2 * sizeof(void*);
   const std::size_t map_bytes =
       pairs_.size() * per_pair + pairs_.bucket_count() * sizeof(void*);
   return events_.capacity() * sizeof(SuspicionEvent) +

@@ -7,18 +7,24 @@
 // counts, accuracy convergence) are pure functions of this log plus the
 // crash schedule — see analysis.h.
 //
-// Two retention modes:
-//   * kFull keeps every transition (the default; what Analysis consumes).
+// Every transition is folded on arrival into a per-(observer, subject)
+// PairRollup: whether a suspicion interval is open and since when, the
+// number of intervals opened, the number of kMistake entries, and the last
+// instant an open interval was closed. A kSuspected on an already-open pair
+// changes nothing (the interval keeps its first start), and a kCleared on a
+// closed pair changes nothing. The ◇S metrics — detection instants, strong
+// completeness, the false-suspicion count and both accuracy-stabilization
+// instants — are computed from this rollup alone (analysis.h), so they
+// cost one lookup per pair, not a pass over the stream.
+//
+// Two retention modes, with the same rollup in both:
+//   * kFull also keeps every transition (the default). Only the
+//     false-suspicion interval list and its step series need the stream.
 //     At n = 1000 a 20 s sweep retains ~1.3M entries (~30 MB) — fine for a
 //     single serial run, ruinous when multiplied by shards and pushed to
 //     n = 10,000.
-//   * kRollup folds each transition into a per-(observer, subject) pair
-//     summary on arrival: the currently-open suspicion interval, episode
-//     and mistake counters, and the last repair instant. Memory is bounded
-//     by the number of pairs that ever interacted, independent of run
-//     length. summarize_rollup() (analysis.h) computes the headline metrics
-//     (detection latency, strong completeness, false suspicions) from it
-//     with the same semantics Analysis derives from the full stream.
+//   * kRollup keeps the rollup only. Memory is bounded by the number of
+//     pairs that ever interacted, independent of run length.
 #pragma once
 
 #include <cstdint>
@@ -56,16 +62,23 @@ enum class LogMode : std::uint8_t {
   kRollup,  ///< fold transitions into per-pair summaries on arrival
 };
 
+/// Hash key of an (observer, subject) pair: observer in the high half,
+/// subject in the low half, so key order is (observer, subject) order.
+inline std::uint64_t pair_key(ProcessId observer, ProcessId subject) {
+  return (static_cast<std::uint64_t>(observer.value) << 32) | subject.value;
+}
+
 /// Streaming summary of one (observer, subject) pair's suspicion history.
 struct PairRollup {
   ProcessId observer;
   ProcessId subject;
   /// Whether the observer suspected the subject at the end of the run; if
-  /// so, `open_since` is the start of that final (permanent) interval —
-  /// exactly Analysis's "last kSuspected with no later kCleared".
+  /// so, `open_since` is the start of that final (still-open) interval: the
+  /// first kSuspected after the pair's last kCleared.
   bool open{false};
   TimePoint open_since{kTimeZero};
-  /// Instant of the last kCleared for this pair (kTimeZero if none).
+  /// Instant of the last kCleared that closed an interval (kTimeZero if
+  /// none).
   TimePoint last_clear{kTimeZero};
   std::uint32_t episodes{0};  ///< suspicion intervals opened
   std::uint32_t mistakes{0};  ///< kMistake events recorded
@@ -105,10 +118,22 @@ class EventLog {
   }
 
   /// Snapshot of the per-pair summaries, sorted by (observer, subject) so
-  /// the result is deterministic. Meaningful in either mode (full mode
-  /// maintains the same running state), but it is the *only* output of
-  /// rollup mode.
+  /// the result is deterministic. The same in either mode.
   [[nodiscard]] std::vector<PairRollup> rollup() const;
+
+  /// The pair's summary read in place, or nullptr if the observer never
+  /// reported a transition about the subject.
+  [[nodiscard]] const PairRollup* pair(ProcessId observer,
+                                       ProcessId subject) const {
+    const auto it = pairs_.find(pair_key(observer, subject));
+    return it == pairs_.end() ? nullptr : &it->second;
+  }
+
+  /// Calls `fn(const PairRollup&)` for every pair, in unspecified order.
+  template <typename Fn>
+  void for_each_pair(Fn&& fn) const {
+    for (const auto& entry : pairs_) fn(entry.second);
+  }
 
   /// Number of retained entries: events in full mode, pairs in rollup mode.
   [[nodiscard]] std::size_t entries() const {
@@ -144,14 +169,6 @@ class EventLog {
     ProcessId observer_id_;
   };
 
-  struct PairState {
-    bool open{false};
-    TimePoint open_since{kTimeZero};
-    TimePoint last_clear{kTimeZero};
-    std::uint32_t episodes{0};
-    std::uint32_t mistakes{0};
-  };
-
   void apply(TimePoint when, ProcessId observer, ProcessId subject,
              SuspicionEventKind kind, Tag tag);
 
@@ -159,7 +176,7 @@ class EventLog {
   LogMode mode_;
   std::vector<SuspicionEvent> events_;
   std::vector<CrashRecord> crashes_;
-  std::unordered_map<std::uint64_t, PairState> pairs_;
+  std::unordered_map<std::uint64_t, PairRollup> pairs_;
   std::vector<std::unique_ptr<NodeObserver>> adapters_;
 };
 

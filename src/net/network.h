@@ -188,31 +188,13 @@ class Network {
   /// when the duplication coin actually lands is the message promoted to a
   /// shared payload, and then both delivery events share that single copy.
   void send(ProcessId from, ProcessId to, Msg msg) {
-    assert(!is_crashed(from));
-    assert(from == to || topology_->are_neighbors(from, to));
-    ++stats_.messages_sent;
-    if (size_fn_) stats_.bytes_sent += size_fn_(msg);
-    if (link_down(from, to)) {
-      ++stats_.messages_dropped_partition;
-      return;
-    }
-    if (loss_rate_ > 0.0 && loss_rng_.bernoulli(loss_rate_)) {
-      ++stats_.messages_dropped_loss;
-      return;
-    }
-    if (duplicate_rate_ > 0.0 && loss_rng_.bernoulli(duplicate_rate_)) {
-      ++stats_.messages_duplicated;
-      auto payload = std::make_shared<const Msg>(std::move(msg));
-      // Keep the seed implementation's draw/schedule order bit-for-bit:
-      // duplicate delay first, then the primary delay.
-      schedule_delivery(from, to, payload);
-      schedule_delivery(from, to, std::move(payload));
-      return;
-    }
-    if (is_remote(to)) {
+    const int copies = admit(from, to, msg);
+    if (copies == 0) return;
+    if (copies == 2 || is_remote(to)) {
       // Crossing a shard boundary forces the one payload copy the serial
       // fast path avoids; the destination shard shares it with nothing.
-      route_remote(from, to, std::make_shared<const Msg>(std::move(msg)));
+      deliver_copies(from, to, copies,
+                     std::make_shared<const Msg>(std::move(msg)));
       return;
     }
     const Duration delay =
@@ -223,74 +205,64 @@ class Network {
     });
   }
 
-  /// Sends an immutable shared payload from `from` to `to` — the unicast
-  /// sibling of broadcast()'s fan-out: the delivery event references the
-  /// caller's payload instead of owning a copy. Hosts use it to share one
-  /// full-encoding query across every peer that needs the fallback.
-  /// Loss/duplication/delay sampling order is identical to send(), so
-  /// fixed-seed schedules are bit-for-bit the same whichever path a host
-  /// picks.
+  /// Sends an immutable shared payload from `from` to `to`: the delivery
+  /// event references the caller's payload instead of owning a copy. Hosts
+  /// use it to share one full-encoding query across every peer that needs
+  /// the fallback. Admission and delay sampling are send()'s, so fixed-seed
+  /// schedules are bit-for-bit the same whichever path a host picks.
   void send_shared(ProcessId from, ProcessId to,
                    std::shared_ptr<const Msg> payload) {
-    assert(!is_crashed(from));
-    assert(from == to || topology_->are_neighbors(from, to));
     assert(payload != nullptr);
-    ++stats_.messages_sent;
-    if (size_fn_) stats_.bytes_sent += size_fn_(*payload);
-    if (link_down(from, to)) {
-      ++stats_.messages_dropped_partition;
-      return;
-    }
-    if (loss_rate_ > 0.0 && loss_rng_.bernoulli(loss_rate_)) {
-      ++stats_.messages_dropped_loss;
-      return;
-    }
-    if (duplicate_rate_ > 0.0 && loss_rng_.bernoulli(duplicate_rate_)) {
-      ++stats_.messages_duplicated;
-      schedule_delivery(from, to, payload);
-    }
-    schedule_delivery(from, to, std::move(payload));
+    const int copies = admit(from, to, *payload);
+    deliver_copies(from, to, copies, std::move(payload));
   }
 
   /// Sends `msg` to every neighbor of `from` (excluding `from`: protocol
   /// cores account for their own copy locally, which also implements the
   /// paper's "its own response always arrives among the first" convention).
   ///
-  /// The message is copied exactly once, into an immutable shared payload
-  /// that every per-recipient delivery event references — O(1) message
-  /// copies per broadcast instead of the O(n) a send() loop would make.
-  /// Per-recipient loss/duplication/delay sampling is identical to a send()
-  /// loop, so stats and fixed-seed schedules match the per-send path.
-  void broadcast(ProcessId from, const Msg& msg) {
-    broadcast_payload(from, std::make_shared<const Msg>(msg));
-  }
-
-  /// Rvalue overload: the broadcast consumes `msg` without any copy at all.
-  void broadcast(ProcessId from, Msg&& msg) {
-    broadcast_payload(from, std::make_shared<const Msg>(std::move(msg)));
+  /// The message is moved once into an immutable shared payload that every
+  /// per-recipient delivery event references — O(1) message copies per
+  /// broadcast instead of the O(n) a send() loop would make. Stats and
+  /// fixed-seed schedules match a send() loop.
+  void broadcast(ProcessId from, Msg msg) {
+    const auto payload = std::make_shared<const Msg>(std::move(msg));
+    for (ProcessId to : topology_->neighbors(from)) {
+      send_shared(from, to, payload);
+    }
   }
 
  private:
-  void broadcast_payload(ProcessId from, std::shared_ptr<const Msg> payload) {
+  /// Send-time admission, the same for every send path and in this fixed
+  /// draw order: count the message and its bytes, then the partition
+  /// check, the loss coin, the duplication coin. Returns how many
+  /// deliveries to schedule: 0 (dropped), 1, or 2 (duplicated).
+  int admit(ProcessId from, ProcessId to, const Msg& msg) {
     assert(!is_crashed(from));
-    const auto& neighbors = topology_->neighbors(from);
-    for (ProcessId to : neighbors) {
-      ++stats_.messages_sent;
-      if (size_fn_) stats_.bytes_sent += size_fn_(*payload);
-      if (link_down(from, to)) {
-        ++stats_.messages_dropped_partition;
-        continue;
-      }
-      if (loss_rate_ > 0.0 && loss_rng_.bernoulli(loss_rate_)) {
-        ++stats_.messages_dropped_loss;
-        continue;
-      }
-      if (duplicate_rate_ > 0.0 && loss_rng_.bernoulli(duplicate_rate_)) {
-        ++stats_.messages_duplicated;
-        schedule_delivery(from, to, payload);
-      }
-      schedule_delivery(from, to, payload);
+    assert(from == to || topology_->are_neighbors(from, to));
+    ++stats_.messages_sent;
+    if (size_fn_) stats_.bytes_sent += size_fn_(msg);
+    if (link_down(from, to)) {
+      ++stats_.messages_dropped_partition;
+      return 0;
     }
+    if (loss_rate_ > 0.0 && loss_rng_.bernoulli(loss_rate_)) {
+      ++stats_.messages_dropped_loss;
+      return 0;
+    }
+    if (duplicate_rate_ > 0.0 && loss_rng_.bernoulli(duplicate_rate_)) {
+      ++stats_.messages_duplicated;
+      return 2;
+    }
+    return 1;
+  }
+
+  /// Schedules `copies` deliveries of one shared payload. A duplicate's
+  /// delay is drawn before the primary's, as in the seed implementation.
+  void deliver_copies(ProcessId from, ProcessId to, int copies,
+                      std::shared_ptr<const Msg> payload) {
+    if (copies == 2) schedule_delivery(from, to, payload);
+    if (copies > 0) schedule_delivery(from, to, std::move(payload));
   }
 
   [[nodiscard]] bool is_remote(ProcessId to) const {

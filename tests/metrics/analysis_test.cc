@@ -2,16 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <optional>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "metrics/table.h"
 #include "sim/simulation.h"
+#include "stream_reference.h"
 
 namespace mmrfd::metrics {
 namespace {
@@ -150,42 +147,30 @@ TEST(Analysis, FalseSuspicionSeriesStepsUpAndDown) {
   EXPECT_EQ(series[2].active, 0);
 }
 
-// The std::map interval scan false_suspicions() used before it moved to a
-// hash keyed on (observer, subject): closed intervals in log order, then the
-// still-open ones in (observer, subject) order, then the same sort.
-std::vector<FalseSuspicion> reference_false_suspicions(const EventLog& log,
-                                                       const Analysis& a) {
-  const auto correct = a.correct();
-  const auto is_correct = [&](ProcessId id) {
-    return std::binary_search(correct.begin(), correct.end(), id);
-  };
-  std::vector<FalseSuspicion> out;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, TimePoint> open;
-  for (const auto& e : log.events()) {
-    if (!is_correct(e.subject) || !is_correct(e.observer)) continue;
-    const auto key = std::make_pair(e.observer.value, e.subject.value);
-    if (e.kind == SuspicionEventKind::kSuspected) {
-      open.emplace(key, e.when);
-    } else if (auto it = open.find(key); it != open.end()) {
-      out.push_back(FalseSuspicion{e.observer, e.subject, it->second, e.when});
-      open.erase(it);
-    }
-  }
-  for (const auto& [key, start] : open) {
-    out.push_back(FalseSuspicion{ProcessId{key.first}, ProcessId{key.second},
-                                 start, std::nullopt});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FalseSuspicion& a, const FalseSuspicion& b) {
-              return a.suspected_at < b.suspected_at;
-            });
-  return out;
+TEST(Analysis, RepeatedSuspicionKeepsTheIntervalStart) {
+  LogBuilder b;
+  // p1 suspects p2 before the crash and again after it with no clear in
+  // between: the interval opened at t=1 is the one still open, so the
+  // detection starts there and clamps to zero latency.
+  b.at(from_seconds(1)).suspect(1, 2);
+  b.at(from_seconds(5)).crash(2);
+  b.at(from_seconds(7)).suspect(1, 2);
+  Analysis a(b.log(), 3, from_seconds(10));
+  const auto ds = a.detections();
+  ASSERT_EQ(ds.size(), 2u);
+  const auto& d1 = ds[0].observer == ProcessId{1} ? ds[0] : ds[1];
+  ASSERT_TRUE(d1.detected_at.has_value());
+  EXPECT_EQ(*d1.detected_at, from_seconds(1));
+  const auto ss = a.crash_summaries();
+  ASSERT_EQ(ss.size(), 1u);
+  EXPECT_EQ(ss[0].detected_by, 1u);
+  EXPECT_EQ(ss[0].latencies.samples(), std::vector<double>{0.0});
 }
 
 TEST(Analysis, FalseSuspicionsMatchReferenceScanOnRandomLogs) {
   // Coarse timestamps put many intervals on one start time, so the output
-  // order among ties is checked too; ids >= n, repeated suspicions and
-  // clears of closed pairs are all in the mix.
+  // order among ties is checked too; ids >= n, repeated suspicions, clears
+  // of closed pairs and repeated crashes of one id are all in the mix.
   constexpr std::uint32_t kN = 7;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     SCOPED_TRACE(seed);
@@ -206,7 +191,7 @@ TEST(Analysis, FalseSuspicionsMatchReferenceScanOnRandomLogs) {
     }
     const Analysis a(b.log(), kN, from_seconds(1));
     const auto got = a.false_suspicions();
-    const auto want = reference_false_suspicions(b.log(), a);
+    const auto want = testing::reference_false_suspicions(b.log(), kN);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].observer, want[i].observer) << i;
@@ -214,31 +199,36 @@ TEST(Analysis, FalseSuspicionsMatchReferenceScanOnRandomLogs) {
       EXPECT_EQ(got[i].suspected_at, want[i].suspected_at) << i;
       EXPECT_EQ(got[i].cleared_at, want[i].cleared_at) << i;
     }
-    // The stabilization instants, derived from the reference list.
-    std::optional<TimePoint> full = kTimeZero;
-    for (const auto& fs : want) {
-      if (!fs.cleared_at) {
-        full.reset();
-        break;
-      }
-      full = std::max(*full, *fs.cleared_at);
+    EXPECT_EQ(a.full_accuracy_stabilization(),
+              testing::reference_full_accuracy_stabilization(want));
+    EXPECT_EQ(a.accuracy_stabilization(),
+              testing::reference_accuracy_stabilization(want, a.correct()));
+
+    const auto dets = a.detections();
+    const auto want_dets = testing::reference_detections(b.log(), kN);
+    ASSERT_EQ(dets.size(), want_dets.size());
+    for (std::size_t i = 0; i < dets.size(); ++i) {
+      EXPECT_EQ(dets[i].observer, want_dets[i].observer) << i;
+      EXPECT_EQ(dets[i].subject, want_dets[i].subject) << i;
+      EXPECT_EQ(dets[i].crash_at, want_dets[i].crash_at) << i;
+      EXPECT_EQ(dets[i].detected_at, want_dets[i].detected_at) << i;
     }
-    EXPECT_EQ(a.full_accuracy_stabilization(), full);
-    std::optional<TimePoint> weak;
-    for (ProcessId p : a.correct()) {
-      TimePoint last = kTimeZero;
-      bool open = false;
-      for (const auto& fs : want) {
-        if (fs.subject != p) continue;
-        if (!fs.cleared_at) {
-          open = true;
-        } else {
-          last = std::max(last, *fs.cleared_at);
-        }
-      }
-      if (!open && (!weak || last < *weak)) weak = last;
+    const auto sums = a.crash_summaries();
+    const auto want_sums = testing::reference_crash_summaries(b.log(), kN);
+    ASSERT_EQ(sums.size(), want_sums.size());
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+      EXPECT_EQ(sums[i].subject, want_sums[i].subject) << i;
+      EXPECT_EQ(sums[i].crash_at, want_sums[i].crash_at) << i;
+      EXPECT_EQ(sums[i].observers, want_sums[i].observers) << i;
+      EXPECT_EQ(sums[i].detected_by, want_sums[i].detected_by) << i;
+      EXPECT_EQ(sums[i].latencies.samples(), want_sums[i].latencies.samples())
+          << i;
+      EXPECT_EQ(sums[i].completeness_latency,
+                want_sums[i].completeness_latency)
+          << i;
     }
-    EXPECT_EQ(a.accuracy_stabilization(), weak);
+    EXPECT_EQ(a.strong_completeness(),
+              testing::reference_strong_completeness(b.log(), kN));
   }
 }
 

@@ -1,6 +1,7 @@
 // EventLog retention modes: the per-pair rollup state machine, its
-// equivalence with the full-stream Analysis on a real cluster run, and the
-// memory bound that justifies rollup mode at n = 10,000.
+// agreement with the full-stream reference scans on a real cluster run,
+// Analysis giving the same answers over either mode, and the memory bound
+// that justifies rollup mode at n = 10,000.
 #include "metrics/event_log.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "runtime/cluster.h"
 #include "runtime/crash_plan.h"
 #include "sim/simulation.h"
+#include "stream_reference.h"
 
 namespace mmrfd::metrics {
 namespace {
@@ -126,11 +128,8 @@ TEST(EventLogRollup, FullModeMaintainsTheSamePairState) {
   EXPECT_EQ(rolled.log().entries(), r.size());
 }
 
-// One real deployment, analyzed both ways: the rollup summary must agree
-// with the full-stream Analysis on every headline metric. The spike plus
-// crashes generate both wrongful-suspicion churn and real detections.
-TEST(EventLogRollup, SummaryMatchesFullStreamAnalysisOnClusterRun) {
-  constexpr Duration kHorizon = from_seconds(12);
+// A spike plus crashes: wrongful-suspicion churn and real detections.
+runtime::MmrClusterConfig spike_config() {
   runtime::MmrClusterConfig cfg;
   cfg.n = 30;
   cfg.f = 7;
@@ -140,51 +139,105 @@ TEST(EventLogRollup, SummaryMatchesFullStreamAnalysisOnClusterRun) {
   // Spike delays (1 ms mean x 2000 = ~2 s) overrun the pacing window, so
   // responses land after the next query and wrongful suspicions open.
   cfg.spike = runtime::SpikeSpec{from_seconds(4), from_seconds(5), 2000.0, {}};
-  const auto plan = runtime::CrashPlan::uniform(4, cfg.n, from_seconds(2),
-                                                from_seconds(6), cfg.seed);
+  return cfg;
+}
 
-  runtime::MmrCluster cluster(cfg);  // kFull: both views from ONE run
-  cluster.start(plan);
-  cluster.run_for(kHorizon);
+runtime::CrashPlan spike_plan(const runtime::MmrClusterConfig& cfg) {
+  return runtime::CrashPlan::uniform(4, cfg.n, from_seconds(2),
+                                     from_seconds(6), cfg.seed);
+}
 
-  const Analysis analysis(cluster.log(), cfg.n, kHorizon);
-  const RollupSummary summary = summarize_rollup(
-      cluster.log().rollup(), cluster.log().crashes(), cfg.n);
+constexpr Duration kSpikeHorizon = from_seconds(12);
 
-  // Detection latencies: identical sample multisets (clamped at zero).
+// One real deployment: the rollup summary must agree on every headline
+// metric with the reference scans of the full event stream.
+TEST(EventLogRollup, SummaryMatchesFullStreamAnalysisOnClusterRun) {
+  const runtime::MmrClusterConfig cfg = spike_config();
+  runtime::MmrCluster cluster(cfg);  // kFull: the stream is the reference
+  cluster.start(spike_plan(cfg));
+  cluster.run_for(kSpikeHorizon);
+
+  const EventLog& log = cluster.log();
+  const RollupSummary summary =
+      summarize_rollup(log.rollup(), log.crashes(), cfg.n);
+
+  // Detection latencies: the same samples in the same order (clamped at
+  // zero).
   std::vector<double> from_stream;
-  for (const auto& d : analysis.detections()) {
-    if (auto lat = d.latency()) {
-      from_stream.push_back(std::max(0.0, to_seconds(*lat)));
+  Duration worst = Duration::zero();
+  for (const auto& s : testing::reference_crash_summaries(log, cfg.n)) {
+    for (double lat : s.latencies.samples()) from_stream.push_back(lat);
+    if (s.completeness_latency) {
+      worst = std::max(worst, *s.completeness_latency);
     }
   }
-  std::sort(from_stream.begin(), from_stream.end());
-  std::vector<double> from_rollup = summary.detection_latencies.samples();
-  std::sort(from_rollup.begin(), from_rollup.end());
   ASSERT_FALSE(from_stream.empty());
-  EXPECT_EQ(from_stream, from_rollup);
+  EXPECT_EQ(from_stream, summary.detection_latencies.samples());
 
   // Completeness.
-  EXPECT_EQ(analysis.strong_completeness(), summary.strong_completeness);
-  if (summary.completeness_latency) {
-    double worst = 0.0;
-    for (const auto& s : analysis.crash_summaries()) {
-      ASSERT_TRUE(s.completeness_latency.has_value());
-      worst = std::max(worst, to_seconds(*s.completeness_latency));
-    }
-    EXPECT_DOUBLE_EQ(worst, *summary.completeness_latency);
+  const bool complete = testing::reference_strong_completeness(log, cfg.n);
+  EXPECT_EQ(complete, summary.strong_completeness);
+  ASSERT_EQ(complete, summary.completeness_latency.has_value());
+  if (complete) {
+    EXPECT_EQ(to_seconds(worst), *summary.completeness_latency);
   }
 
   // Wrongful suspicions: every episode between two correct processes.
-  EXPECT_EQ(analysis.false_suspicions().size(), summary.false_suspicions);
+  const auto intervals = testing::reference_false_suspicions(log, cfg.n);
+  EXPECT_EQ(intervals.size(), summary.false_suspicions);
   EXPECT_GT(summary.false_suspicions, 0u) << "spike produced no churn";
 
   // Cleanliness: last wrongful repair, unset while any pair is stuck open.
-  const auto clean_stream = analysis.full_accuracy_stabilization();
+  const auto clean_stream =
+      testing::reference_full_accuracy_stabilization(intervals);
   ASSERT_EQ(clean_stream.has_value(), summary.clean_at.has_value());
   if (clean_stream) {
-    EXPECT_DOUBLE_EQ(to_seconds(*clean_stream), *summary.clean_at);
+    EXPECT_EQ(to_seconds(*clean_stream), *summary.clean_at);
   }
+}
+
+// The same run with either retention: Analysis gives the same answer on
+// every metric the rollup carries, and only the interval list goes empty.
+TEST(EventLogRollup, AnalysisOverRollupLogMatchesFullLog) {
+  runtime::MmrClusterConfig cfg = spike_config();
+  runtime::MmrCluster full(cfg);
+  full.start(spike_plan(cfg));
+  full.run_for(kSpikeHorizon);
+  cfg.log_mode = LogMode::kRollup;
+  runtime::MmrCluster rolled(cfg);
+  rolled.start(spike_plan(cfg));
+  rolled.run_for(kSpikeHorizon);
+
+  const Analysis a(full.log(), cfg.n, kSpikeHorizon);
+  const Analysis r(rolled.log(), cfg.n, kSpikeHorizon);
+  const auto da = a.detections();
+  const auto dr = r.detections();
+  ASSERT_EQ(da.size(), dr.size());
+  for (std::size_t i = 0; i < da.size(); ++i) {
+    EXPECT_EQ(da[i].observer, dr[i].observer) << i;
+    EXPECT_EQ(da[i].subject, dr[i].subject) << i;
+    EXPECT_EQ(da[i].detected_at, dr[i].detected_at) << i;
+  }
+  const auto sa = a.crash_summaries();
+  const auto sr = r.crash_summaries();
+  ASSERT_EQ(sa.size(), sr.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].detected_by, sr[i].detected_by) << i;
+    EXPECT_EQ(sa[i].latencies.samples(), sr[i].latencies.samples()) << i;
+    EXPECT_EQ(sa[i].completeness_latency, sr[i].completeness_latency) << i;
+  }
+  EXPECT_EQ(a.strong_completeness(), r.strong_completeness());
+  EXPECT_EQ(a.accuracy_stabilization(), r.accuracy_stabilization());
+  EXPECT_EQ(a.full_accuracy_stabilization(), r.full_accuracy_stabilization());
+  const RollupSummary ua = a.summary();
+  const RollupSummary ur = r.summary();
+  EXPECT_EQ(ua.detection_latencies.samples(), ur.detection_latencies.samples());
+  EXPECT_EQ(ua.completeness_latency, ur.completeness_latency);
+  EXPECT_EQ(ua.false_suspicions, ur.false_suspicions);
+  EXPECT_EQ(ua.clean_at, ur.clean_at);
+  EXPECT_EQ(ua.false_suspicions, a.false_suspicions().size());
+  EXPECT_GT(ua.false_suspicions, 0u) << "spike produced no churn";
+  EXPECT_TRUE(r.false_suspicions().empty());
 }
 
 TEST(EventLogRollup, MemoryStaysBoundedWhereFullModeGrows) {
