@@ -65,13 +65,14 @@ RunMetrics summarize(const metrics::EventLog& log, std::uint32_t n,
   if (auto t = analysis.accuracy_stabilization()) {
     out.accuracy_stable_at = to_seconds(*t);
   }
-  // The stream-only extras; empty over a kRollup log.
-  for (const auto& f : analysis.false_suspicions()) {
+  // The stream-only extras, from one interval scan; empty over a kRollup log.
+  const auto intervals = analysis.false_suspicions();
+  for (const auto& f : intervals) {
     if (f.cleared_at) {
       out.mistake_durations.add(to_seconds(*f.cleared_at - f.suspected_at));
     }
   }
-  out.false_series = analysis.false_suspicion_series();
+  out.false_series = metrics::false_suspicion_series(intervals);
   return out;
 }
 

@@ -60,5 +60,3 @@ void BM_EncodeResponse(benchmark::State& state) {
 BENCHMARK(BM_EncodeResponse);
 
 }  // namespace
-
-BENCHMARK_MAIN();

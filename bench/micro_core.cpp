@@ -118,5 +118,3 @@ void BM_TaggedSetLookup(benchmark::State& state) {
 BENCHMARK(BM_TaggedSetLookup)->Arg(16)->Arg(256)->Arg(4096);
 
 }  // namespace
-
-BENCHMARK_MAIN();

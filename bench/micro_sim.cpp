@@ -142,5 +142,3 @@ void BM_RngNextBelow(benchmark::State& state) {
 BENCHMARK(BM_RngNextBelow);
 
 }  // namespace
-
-BENCHMARK_MAIN();

@@ -41,8 +41,7 @@ DetectorCore::DetectorCore(const DetectorConfig& config)
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     if (i != config_.self.value) known_.push_back(ProcessId{i});
   }
-  dense_tag_.assign(config_.n, 0);
-  dense_kind_.assign(config_.n, 0);
+  rank_.assign(config_.n, 0);
   responded_.assign(config_.n, false);
   streak_.assign(config_.n, 0);
   skip_.assign(config_.n, false);
@@ -149,11 +148,9 @@ QueryMessage DetectorCore::query_for(ProcessId peer) {
     // of the two sets (erase only ever accompanies a re-add), but
     // transient corruption can leave the replay window naming ids that
     // are now in neither — absence is not gossipable, so skip them.
-    if (const auto t = suspected_.tag_of(id)) {
-      q.entries.push_back({id, *t});
-    } else if (const auto m = mistake_.tag_of(id)) {
-      mist.push_back({id, *m});
-    }
+    const auto t = local_tag(id);
+    if (!t) continue;
+    (is_mistake(id) ? mist : q.entries).push_back({id, *t});
   }
   q.suspected_count = static_cast<std::uint32_t>(q.entries.size());
   q.entries.insert(q.entries.end(), mist.begin(), mist.end());
@@ -199,9 +196,8 @@ void DetectorCore::finish_round() {
     // Ids >= n (bogus live-path senders remembered in known_) can never
     // have responded — on_response rejects them.
     if (pj.value < responded_.size() && responded_[pj.value]) continue;
-    const auto mine = local_tag(pj);
-    if (mine.has_value() && !is_mistake(pj)) continue;  // already suspected
-    if (mine.has_value()) {
+    if (is_suspected(pj)) continue;
+    if (const auto mine = local_tag(pj)) {
       // A stale mistake exists: the fresh suspicion must dominate it.
       counter_ = std::max(counter_, *mine + 1);
       mistake_.erase(pj);
@@ -215,7 +211,7 @@ void DetectorCore::finish_round() {
   // streak against the post-suspicion-step state.
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     if (i == config_.self.value) continue;
-    streak_[i] = dense_kind_[i] == 1 ? streak_[i] + 1 : 0;
+    streak_[i] = is_suspected(ProcessId{i}) ? streak_[i] + 1 : 0;
   }
   // Self-stabilization guard: periodically discard the per-sender seen
   // watermarks (see DetectorConfig::resync_interval). The next delta query
@@ -249,8 +245,17 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
   const bool epoch_miss =
       delta_.epoch_miss(from, query.is_delta(), query.base_epoch);
 
+  // Both loops first skip entries that cannot change local state: one
+  // rank load and one compare (see rank_). Only effective updates, ids >= n
+  // and unrankable tags reach the literal T2 code below the skip.
+  const std::uint64_t* const rank = rank_.data();
+  const std::size_t ranked = rank_.size();
+
   // First loop (T2 lines 21-31): merge the sender's suspicions.
   for (const TaggedEntry& e : query.suspected()) {
+    if (e.id.value < ranked && rank[e.id.value] >= noop_floor(e.tag, false)) {
+      continue;
+    }
     const auto mine = local_tag(e.id);
     const bool newer = !mine.has_value() || *mine < e.tag;
     if (!newer) continue;
@@ -270,6 +275,9 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
   // Second loop (T2 lines 32-37): merge the sender's mistakes. Note `<=`:
   // on a tag tie the mistake wins over the suspicion.
   for (const TaggedEntry& e : query.mistakes()) {
+    if (e.id.value < ranked && rank[e.id.value] >= noop_floor(e.tag, true)) {
+      continue;
+    }
     const auto mine = local_tag(e.id);
     const bool newer_or_tied = !mine.has_value() || *mine <= e.tag;
     if (!newer_or_tied) continue;
@@ -293,7 +301,14 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
 
 void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  const std::vector<std::uint8_t> old_kind = dense_kind_;
+  // Per id < n: 0 = absent, 1 = suspected, 2 = mistake; before and after.
+  std::vector<std::uint8_t> old_kind(config_.n, 0);
+  for (std::uint32_t i = 0; i < config_.n; ++i) {
+    const ProcessId id{i};
+    old_kind[i] = is_suspected(id) ? 1 : (is_mistake(id) ? 2 : 0);
+  }
+  std::vector<std::uint8_t> new_kind(config_.n, 0);
+  std::vector<Tag> new_tag(config_.n, 0);
 
   // Round counter: rewound (so this node's future tags go stale against
   // state the peers already hold) or pushed ahead.
@@ -304,8 +319,7 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   // (already scrambled) counter.
   suspected_.clear();
   mistake_.clear();
-  std::fill(dense_kind_.begin(), dense_kind_.end(), std::uint8_t{0});
-  std::fill(dense_tag_.begin(), dense_tag_.end(), Tag{0});
+  std::fill(rank_.begin(), rank_.end(), std::uint64_t{0});
   const Tag tag_ceiling = counter_ + 8;
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     const double u = rng.next_double();
@@ -317,8 +331,9 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
     } else {
       mistake_.add(ProcessId{i}, tag);
     }
-    dense_kind_[i] = kind;
-    dense_tag_[i] = tag;
+    rank_[i] = stored_rank(tag, kind == 2);
+    new_kind[i] = kind;
+    new_tag[i] = tag;
   }
 
   // Journal: restart the replay window at an arbitrary epoch (zero, below
@@ -332,7 +347,7 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
                                      : true_epoch + 1000000;
   delta_.corrupt_journal(new_base);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    if (dense_kind_[i] != old_kind[i] || dense_kind_[i] != 0) {
+    if (new_kind[i] != old_kind[i] || new_kind[i] != 0) {
       delta_.record(ProcessId{i});
     }
   }
@@ -361,13 +376,13 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   if (observer_ != nullptr) {
     for (std::uint32_t i = 0; i < config_.n; ++i) {
       const ProcessId id{i};
-      if (old_kind[i] == 1 && dense_kind_[i] != 1) {
-        observer_->on_cleared(id, dense_tag_[i]);
-      } else if (old_kind[i] != 1 && dense_kind_[i] == 1) {
-        observer_->on_suspected(id, dense_tag_[i]);
+      if (old_kind[i] == 1 && new_kind[i] != 1) {
+        observer_->on_cleared(id, new_tag[i]);
+      } else if (old_kind[i] != 1 && new_kind[i] == 1) {
+        observer_->on_suspected(id, new_tag[i]);
       }
-      if (old_kind[i] != 2 && dense_kind_[i] == 2) {
-        observer_->on_mistake(id, dense_tag_[i]);
+      if (old_kind[i] != 2 && new_kind[i] == 2) {
+        observer_->on_mistake(id, new_tag[i]);
       }
     }
   }
@@ -378,19 +393,17 @@ std::vector<ProcessId> DetectorCore::suspected() const {
 }
 
 bool DetectorCore::is_suspected(ProcessId id) const {
-  if (id.value < dense_kind_.size()) return dense_kind_[id.value] == 1;
+  const std::uint64_t r = rank(id);
+  if (r != kUnranked) return r != 0 && (r & 1) == 0;
   return suspected_.contains(id);
 }
 
 void DetectorCore::add_suspicion(ProcessId id, Tag tag) {
   assert(id != config_.self);
   assert(!mistake_.contains(id));  // callers erase the mistake entry first
-  const bool was_suspected = suspected_.contains(id);
+  const bool was_suspected = is_suspected(id);
   suspected_.add(id, tag);
-  if (id.value < dense_kind_.size()) {
-    dense_kind_[id.value] = 1;
-    dense_tag_[id.value] = tag;
-  }
+  if (id.value < rank_.size()) rank_[id.value] = stored_rank(tag, false);
   delta_.record(id);
   if (!was_suspected) {
     trace(obs::TraceKind::kSuspectAdd, id.value,
@@ -400,13 +413,10 @@ void DetectorCore::add_suspicion(ProcessId id, Tag tag) {
 }
 
 void DetectorCore::add_mistake(ProcessId id, Tag tag) {
-  const bool was_suspected = suspected_.contains(id);
+  const bool was_suspected = is_suspected(id);
   if (was_suspected) suspected_.erase(id);
   mistake_.add(id, tag);
-  if (id.value < dense_kind_.size()) {
-    dense_kind_[id.value] = 2;
-    dense_tag_[id.value] = tag;
-  }
+  if (id.value < rank_.size()) rank_[id.value] = stored_rank(tag, true);
   delta_.record(id);
   if (was_suspected) {
     trace(obs::TraceKind::kSuspectDrop, id.value,
@@ -419,16 +429,16 @@ void DetectorCore::add_mistake(ProcessId id, Tag tag) {
 }
 
 std::optional<Tag> DetectorCore::local_tag(ProcessId id) const {
-  if (id.value < dense_kind_.size()) {
-    if (dense_kind_[id.value] == 0) return std::nullopt;
-    return dense_tag_[id.value];
-  }
+  const std::uint64_t r = rank(id);
+  if (r == 0) return std::nullopt;
+  if (r != kUnranked) return (r >> 1) - 1;
   if (auto t = suspected_.tag_of(id)) return t;
   return mistake_.tag_of(id);
 }
 
 bool DetectorCore::is_mistake(ProcessId id) const {
-  if (id.value < dense_kind_.size()) return dense_kind_[id.value] == 2;
+  const std::uint64_t r = rank(id);
+  if (r != kUnranked) return (r & 1) != 0;
   return mistake_.contains(id);
 }
 

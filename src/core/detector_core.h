@@ -259,10 +259,34 @@ class DetectorCore final : public FailureDetector {
   void add_mistake(ProcessId id, Tag tag);
   /// Largest tag attached to `id` in either set, if any. The sets are
   /// mutually exclusive, so this is simply the tag of the only entry.
-  /// O(1) via the dense mirror for id < n; binary search otherwise.
+  /// O(1) via rank_ for id < n; binary search otherwise.
   [[nodiscard]] std::optional<Tag> local_tag(ProcessId id) const;
   /// True iff `id`'s entry (if any) lives in the mistake set.
   [[nodiscard]] bool is_mistake(ProcessId id) const;
+  /// rank_[id] when it encodes the entry; kUnranked for ids >= n and for
+  /// unrankable tags, whose entry only the sets know.
+  [[nodiscard]] std::uint64_t rank(ProcessId id) const {
+    return id.value < rank_.size() ? rank_[id.value] : kUnranked;
+  }
+
+  // Rank words (see rank_).
+  static constexpr Tag kRankTagLimit = Tag{1} << 62;
+  static constexpr std::uint64_t kUnranked = 1;
+  /// The rank of entry <tag, mistake>: ((tag + 1) << 1) | mistake.
+  /// Requires tag < kRankTagLimit.
+  static constexpr std::uint64_t pack_rank(Tag tag, bool mistake) {
+    return ((tag + 1) << 1) | (mistake ? 1u : 0u);
+  }
+  /// The word stored in rank_ for a local entry.
+  static constexpr std::uint64_t stored_rank(Tag tag, bool mistake) {
+    return tag < kRankTagLimit ? pack_rank(tag, mistake) : kUnranked;
+  }
+  /// The least local rank at which merging an incoming <tag, mistake> entry
+  /// is a no-op; no rank reaches it for an unrankable tag.
+  static constexpr std::uint64_t noop_floor(Tag tag, bool mistake) {
+    return tag < kRankTagLimit ? pack_rank(tag, mistake)
+                               : ~std::uint64_t{0};
+  }
 
   void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const;
 
@@ -273,13 +297,23 @@ class DetectorCore final : public FailureDetector {
   Tag counter_{0};
   TaggedSet suspected_;
   TaggedSet mistake_;
-  /// Dense O(1) mirror of the two sets for ids < n: the merge loop probes
-  /// local state once per received entry, and the sorted sets' binary
-  /// search + cache-miss chain dominated large-n profiles. Ids >= n (bogus
-  /// wire senders on the live path) fall back to the sets themselves.
-  /// kind: 0 = absent, 1 = suspected, 2 = mistake.
-  std::vector<Tag> dense_tag_;
-  std::vector<std::uint8_t> dense_kind_;
+  /// One rank word per id < n mirroring the two sets: 0 = in neither,
+  /// otherwise pack_rank(tag, in mistake set). Ranks order entries the way
+  /// T2 merges them: a higher tag ranks higher and, on a tag tie, a
+  /// mistake (low bit 1) ranks above a suspicion, which is the paper's tie
+  /// rule. So an incoming entry is a no-op exactly when the local rank is
+  /// >= the entry's own rank, and both T2 loops skip the ~99% redundant
+  /// gossip under churn with one load and one compare. The hot loop never
+  /// builds a std::optional<Tag>: GCC spills one as an 8-byte plus a 1-byte
+  /// store and reloads it as a 16-byte vector, which cannot be
+  /// store-forwarded and stalled every entry (~11 ns each).
+  ///
+  /// Wire tags are u64, so a forged tag near 2^64 would overflow the
+  /// packing: tags >= kRankTagLimit (2^62) store the sentinel kUnranked
+  /// (1), which is below every real rank, so no incoming entry is ever
+  /// skipped against it and every read falls back to the sets. Ids >= n
+  /// (bogus live-path senders) have no word and use the sets too.
+  std::vector<std::uint64_t> rank_;
   std::vector<ProcessId> known_;  // sorted, excludes self
 
   QuerySeq seq_{0};

@@ -175,8 +175,8 @@ std::unordered_map<std::uint64_t, TimePoint> scan_false_suspicions(
 
 }  // namespace
 
-Analysis::Analysis(const EventLog& log, std::uint32_t n, TimePoint horizon)
-    : log_(log), n_(n), horizon_(horizon) {}
+Analysis::Analysis(const EventLog& log, std::uint32_t n, TimePoint /*horizon*/)
+    : log_(log), n_(n) {}
 
 std::vector<ProcessId> Analysis::correct() const {
   const auto mask = correct_mask(log_.crashes(), n_);
@@ -240,13 +240,14 @@ std::vector<FalseSuspicion> Analysis::false_suspicions() const {
   return out;
 }
 
-std::vector<FalseSuspicionPoint> Analysis::false_suspicion_series() const {
+std::vector<FalseSuspicionPoint> false_suspicion_series(
+    const std::vector<FalseSuspicion>& intervals) {
   struct Edge {
     TimePoint when;
     std::int64_t delta;
   };
   std::vector<Edge> edges;
-  for (const auto& fs : false_suspicions()) {
+  for (const auto& fs : intervals) {
     edges.push_back({fs.suspected_at, +1});
     if (fs.cleared_at) edges.push_back({*fs.cleared_at, -1});
   }

@@ -6,8 +6,9 @@
 // false-suspicion count and both accuracy-stabilization instants — read the
 // log's per-pair rollup (event_log.h) in place, so they hold in either
 // retention mode, and summarize_rollup() runs the same code over a rollup()
-// vector. Only the interval list (false_suspicions()) and its step series
-// walk the event stream; they are empty over a kRollup log.
+// vector. Only the interval list (false_suspicions()) walks the event
+// stream, and false_suspicion_series() derives its step series from that
+// list; both are empty over a kRollup log.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,8 @@ struct Detection {
   ProcessId subject;
   TimePoint crash_at{kTimeZero};
   /// Start of the observer's *final* (still-open) suspicion interval of the
-  /// subject; unset if the observer did not suspect it at the end of the run.
+  /// subject; unset if the observer did not suspect it at the end of the
+  /// log. The log is read as recorded: callers stop it at the horizon.
   std::optional<TimePoint> detected_at;
 
   [[nodiscard]] std::optional<Duration> latency() const {
@@ -49,7 +51,7 @@ struct CrashDetectionSummary {
 };
 
 /// False (wrongful) suspicion: a correct subject entered someone's suspected
-/// set. `cleared_at` unset = never repaired within the horizon.
+/// set. `cleared_at` unset = never repaired by the end of the log.
 struct FalseSuspicion {
   ProcessId observer;
   ProcessId subject;
@@ -81,6 +83,8 @@ struct RollupSummary {
 class Analysis {
  public:
   /// `n` = system size; the log's crash records define the faulty set.
+  /// Every method reads the log as recorded, so callers stop it at the
+  /// horizon; `horizon` is accepted for source compatibility and unused.
   Analysis(const EventLog& log, std::uint32_t n, TimePoint horizon);
 
   [[nodiscard]] std::vector<ProcessId> correct() const;
@@ -99,31 +103,32 @@ class Analysis {
   /// (needs the kFull stream).
   [[nodiscard]] std::vector<FalseSuspicion> false_suspicions() const;
 
-  /// Step series of concurrently-active wrongful suspicions.
-  [[nodiscard]] std::vector<FalseSuspicionPoint> false_suspicion_series() const;
-
   /// Eventual weak accuracy: some correct process is suspected by no correct
   /// observer after the returned instant (the last wrongful-suspicion
   /// activity involving it). Unset if every correct process is wrongfully
-  /// suspected "forever" (i.e. uncleared at the horizon).
+  /// suspected "forever" (i.e. uncleared at the end of the log).
   [[nodiscard]] std::optional<TimePoint> accuracy_stabilization() const;
 
   /// Global cleanliness: the instant of the *last* wrongful-suspicion repair
   /// anywhere (time zero if there were none). Unset if any wrongful
-  /// suspicion was still open at the horizon. Strictly stronger than
+  /// suspicion was still open at the end of the log. Strictly stronger than
   /// accuracy_stabilization(): after this instant no correct process
   /// suspects any correct process.
   [[nodiscard]] std::optional<TimePoint> full_accuracy_stabilization() const;
 
-  /// Strong completeness: every crash permanently suspected by every correct
-  /// observer within the horizon.
+  /// Strong completeness: every crash suspected by every correct observer
+  /// at the end of the log (callers stop the log at the horizon).
   [[nodiscard]] bool strong_completeness() const;
 
  private:
   const EventLog& log_;
   std::uint32_t n_;
-  TimePoint horizon_;
 };
+
+/// Step series of concurrently-active wrongful suspicions over an interval
+/// list from Analysis::false_suspicions().
+std::vector<FalseSuspicionPoint> false_suspicion_series(
+    const std::vector<FalseSuspicion>& intervals);
 
 /// `pairs` from EventLog::rollup(), `crashes` from EventLog::crashes(),
 /// `n` = system size.

@@ -140,7 +140,7 @@ TEST(Analysis, FalseSuspicionSeriesStepsUpAndDown) {
   b.at(from_seconds(2)).clear(0, 1);
   b.at(from_seconds(3)).clear(2, 1);
   Analysis a(b.log(), 3, from_seconds(10));
-  const auto series = a.false_suspicion_series();
+  const auto series = false_suspicion_series(a.false_suspicions());
   ASSERT_EQ(series.size(), 3u);
   EXPECT_EQ(series[0].active, 2);
   EXPECT_EQ(series[1].active, 1);
