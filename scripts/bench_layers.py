@@ -2,10 +2,10 @@
 """Record micro-benchmark rows in the per-layer ledger BENCH_layers.json.
 
 Runs one micro_* Google Benchmark binary, takes the median and standard
-deviation of each benchmark over --repetitions runs, and writes them as rows
-labelled --label (e.g. "parent" and "change" for a before/after pair). Rows
-already in the ledger with the same (benchmark, label) are replaced; the
-rest are kept.
+deviation of each benchmark over REPETITIONS runs of MIN_TIME seconds each,
+and writes them as rows labelled --label (e.g. "parent" and "change" for a
+before/after pair). Rows already in the ledger with the same (benchmark,
+label) are replaced; the rest are kept.
 
 The ledger carries one `host` block, the one exp_scale writes (the micro
 binaries report it in their benchmark context). A run on a different host,
@@ -23,21 +23,24 @@ import os
 import subprocess
 import sys
 
+REPETITIONS = 10
+MIN_TIME = "0.2"  # seconds per repetition
 
-def run_benchmarks(binary, flt, repetitions, min_time):
+
+def run_benchmarks(binary, flt):
     cmd = [
         binary,
         "--benchmark_format=json",
         f"--benchmark_filter={flt}",
-        f"--benchmark_repetitions={repetitions}",
+        f"--benchmark_repetitions={REPETITIONS}",
         "--benchmark_report_aggregates_only=true",
-        f"--benchmark_min_time={min_time}",
+        f"--benchmark_min_time={MIN_TIME}",
     ]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
-def rows_from(report, layer, label, repetitions):
+def rows_from(report, layer, label):
     stats = {}
     for b in report["benchmarks"]:
         if b.get("run_type") != "aggregate":
@@ -52,7 +55,6 @@ def rows_from(report, layer, label, repetitions):
             "label": label,
             "ns_per_op": round(s["median"], 2),
             "ns_stddev": round(s["stddev"], 2),
-            "repetitions": repetitions,
         }
         for name, s in stats.items()
     ]
@@ -63,24 +65,22 @@ def main():
     ap.add_argument("--binary", required=True, help="a micro_* benchmark binary")
     ap.add_argument("--filter", default=".", help="--benchmark_filter regex")
     ap.add_argument("--label", required=True, help="row label, e.g. parent/change")
-    ap.add_argument("--repetitions", type=int, default=10)
-    ap.add_argument("--min-time", default="0.2", help="seconds per repetition")
     ap.add_argument("--out", default="BENCH_layers.json")
     args = ap.parse_args()
 
-    report = run_benchmarks(args.binary, args.filter, args.repetitions,
-                            args.min_time)
+    report = run_benchmarks(args.binary, args.filter)
     if "host" not in report["context"]:
         sys.exit(f"{args.binary} reports no host block in its context")
     host = json.loads(report["context"]["host"])
     layer = os.path.basename(args.binary).removeprefix("micro_")
-    rows = rows_from(report, layer, args.label, args.repetitions)
+    rows = rows_from(report, layer, args.label)
     if not rows:
         sys.exit(f"no benchmark matched --filter {args.filter!r}")
 
     ledger = {
         "experiment": "micro layers",
-        "unit": {"ns_per_op": "median wall-clock ns per benchmark iteration",
+        "unit": {"ns_per_op": "median wall-clock ns per benchmark iteration "
+                              f"over {REPETITIONS} repetitions of {MIN_TIME} s",
                  "ns_stddev": "standard deviation over the repetitions"},
         "host": host,
         "results": [],

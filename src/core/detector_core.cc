@@ -301,14 +301,12 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
 
 void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  // Per id < n: 0 = absent, 1 = suspected, 2 = mistake; before and after.
+  // Per id < n before the corruption: 0 = absent, 1 = suspected, 2 = mistake.
   std::vector<std::uint8_t> old_kind(config_.n, 0);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     const ProcessId id{i};
     old_kind[i] = is_suspected(id) ? 1 : (is_mistake(id) ? 2 : 0);
   }
-  std::vector<std::uint8_t> new_kind(config_.n, 0);
-  std::vector<Tag> new_tag(config_.n, 0);
 
   // Round counter: rewound (so this node's future tags go stale against
   // state the peers already hold) or pushed ahead.
@@ -332,8 +330,6 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
       mistake_.add(ProcessId{i}, tag);
     }
     rank_[i] = stored_rank(tag, kind == 2);
-    new_kind[i] = kind;
-    new_tag[i] = tag;
   }
 
   // Journal: restart the replay window at an arbitrary epoch (zero, below
@@ -347,7 +343,7 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
                                      : true_epoch + 1000000;
   delta_.corrupt_journal(new_base);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    if (new_kind[i] != old_kind[i] || new_kind[i] != 0) {
+    if (old_kind[i] != 0 || local_tag(ProcessId{i}).has_value()) {
       delta_.record(ProcessId{i});
     }
   }
@@ -376,13 +372,15 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   if (observer_ != nullptr) {
     for (std::uint32_t i = 0; i < config_.n; ++i) {
       const ProcessId id{i};
-      if (old_kind[i] == 1 && new_kind[i] != 1) {
-        observer_->on_cleared(id, new_tag[i]);
-      } else if (old_kind[i] != 1 && new_kind[i] == 1) {
-        observer_->on_suspected(id, new_tag[i]);
+      const Tag tag = local_tag(id).value_or(0);
+      const bool suspected_now = is_suspected(id);
+      if (old_kind[i] == 1 && !suspected_now) {
+        observer_->on_cleared(id, tag);
+      } else if (old_kind[i] != 1 && suspected_now) {
+        observer_->on_suspected(id, tag);
       }
-      if (old_kind[i] != 2 && new_kind[i] == 2) {
-        observer_->on_mistake(id, new_tag[i]);
+      if (old_kind[i] != 2 && is_mistake(id)) {
+        observer_->on_mistake(id, tag);
       }
     }
   }
